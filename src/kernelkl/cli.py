@@ -157,7 +157,10 @@ def cmd_fairness(args):
     labels = None
     if args.label_col is not None:
         (label_idx,) = resolve_columns(header, [args.label_col], "--label-col")
-        labels = data[:, label_idx].astype(int)
+        labels = data[:, label_idx]
+        if np.any(labels != np.round(labels)):
+            raise InvalidInputError(f"--label-col: column {header[label_idx]!r} holds non-integer labels")
+        labels = labels.astype(int)
     elif args.positive_class is not None:
         raise InvalidInputError("--positive-class requires --label-col")
     table = AuditTable(predictions=data[:, pred_idx], attribute=data[:, attr_idx], labels=labels)

@@ -25,6 +25,19 @@ def read_csv_dataset(path):
     ncols = len(header)
     if ncols == 0:
         raise InvalidInputError(f"{path}: empty header row")
+    try:
+        # the reshape also rejects rows that all share a width other than ncols
+        data = np.array(rows[1:], dtype=float).reshape(len(rows) - 1, ncols)
+    except ValueError:
+        data = None
+    if data is None or not np.all(np.isfinite(data)):
+        data = _parse_cells(path, header, rows)
+    return header, data
+
+
+def _parse_cells(path, header, rows):
+    """Parse cell by cell; raises naming the first ragged, unparseable or non-finite cell."""
+    ncols = len(header)
     data = np.empty((len(rows) - 1, ncols))
     for i, row in enumerate(rows[1:], start=2):
         if len(row) != ncols:
@@ -39,7 +52,7 @@ def read_csv_dataset(path):
             if not np.isfinite(value):
                 raise InvalidInputError(f"{path}: row {i}, column {header[j]!r}: non-finite value")
             data[i - 2, j] = value
-    return header, data
+    return data
 
 
 def write_csv_dataset(path, header, data):

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.special import softmax
 
 from .errors import InvalidInputError
-from .estimator import EstimateResult, derive_seed
+from .estimator import EstimateResult, _validate_samples, derive_seed
 from .optimize import OptimizerConfig, _Loop
 
 _INIT_TAG = 11
@@ -109,17 +109,30 @@ def dv_objective_and_gradient(params, Xb, Yb):
 
 
 class _MineLoop(_Loop):
+    """The neural witness is nonlinear in P, so each minibatch also draws P indices."""
+
     def __init__(self, X, Y, input_dim, hidden_width, cfg):
-        super().__init__(X.shape[0], Y.shape[0], cfg)
+        super().__init__(Y.shape[0], cfg)
+        self.n = X.shape[0]
+        self.batch = min(cfg.minibatch, self.n, self.m)
+        self.full_batch = self.batch >= self.n and self.batch >= self.m
         self.X = X
         self.Y = Y
         self.input_dim = input_dim
         self.hidden_width = hidden_width
 
+    def sample_batch(self):
+        if self.full_batch:
+            return None, None
+        ix = self.rng.integers(0, self.n, size=self.batch)
+        iy = self.rng.integers(0, self.m, size=self.batch)
+        return ix, iy
+
     def _unpack(self, vec):
         return unpack_params(vec, self.input_dim, self.hidden_width)
 
-    def minibatch_step(self, vec, ix, iy):
+    def minibatch_step(self, vec, batch):
+        ix, iy = batch
         Xb = self.X if ix is None else self.X[ix]
         Yb = self.Y if iy is None else self.Y[iy]
         # ascent on the bound; the tracked value is the incoming iterate's,
@@ -136,16 +149,7 @@ class _MineLoop(_Loop):
 def mine_estimate(X, Y, cfg=None):
     """Estimate KL(P || Q) with the neural witness; same stopping rule as the kernel path."""
     cfg = cfg or MineConfig()
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    if Y.ndim == 1:
-        Y = Y[:, None]
-    if X.shape[0] < 2 or Y.shape[0] < 2:
-        raise InvalidInputError("need at least 2 samples on each side")
-    if X.shape[1] != Y.shape[1]:
-        raise InvalidInputError(f"X has dimension {X.shape[1]} but Y has dimension {Y.shape[1]}")
+    X, Y = _validate_samples(X, Y)
     seed = cfg.optimizer.seed
     params0 = init_params(X.shape[1], cfg.hidden_width, seed=derive_seed(seed, _INIT_TAG))
     loop = _MineLoop(X, Y, X.shape[1], cfg.hidden_width, cfg.optimizer.with_seed(derive_seed(seed, _LOOP_TAG)))

@@ -1,9 +1,12 @@
 """Projected minibatch SGD over the Donsker-Varadhan loss.
 
-One loop serves both parameterizations: sample a minibatch from each sample
-set, take a gradient ascent step on the divergence estimate (equivalently a
-descent step on the penalized loss), rescale back into the norm-budget ball,
-and stop once a window-smoothed sequence of divergence values stalls.
+One loop serves both parameterizations: sample a minibatch of Q-samples, take
+a gradient ascent step on the divergence estimate (equivalently a descent
+step on the penalized loss), rescale back into the norm-budget ball, and stop
+once a window-smoothed sequence of divergence values stalls.  Both kernel
+witnesses are linear in their weights, so the P term of the bound is the
+weights dotted with the P-side mean (the kernel mean embedding); it is
+computed once, exactly, and only the log-mean-exp term over Q is sampled.
 
 The stopping rule compares successive values of a moving average over
 ``convergence_window`` minibatch evaluations and requires the difference to
@@ -58,16 +61,23 @@ class OptimizationTrace:
     estimate: float = field(default=float("nan"))
 
 
+def _rescale_dual(alpha, k_alpha, norm_budget):
+    """Rescale alpha and its product K alpha by one factor so alpha' K alpha <= norm_budget^2."""
+    q = float(alpha @ k_alpha)
+    if q > norm_budget**2:
+        scale = norm_budget / np.sqrt(q)
+        alpha = alpha * scale
+        k_alpha = k_alpha * scale
+    return alpha, k_alpha
+
+
 def project_dual(alpha, K, norm_budget):
     """Rescale alpha radially so alpha' K alpha <= norm_budget^2.
 
     Radial rescaling, not the exact metric projection; feasible inputs pass
     through unchanged.
     """
-    q = float(alpha @ (K.entries @ alpha))
-    if q > norm_budget**2:
-        alpha = alpha * (norm_budget / np.sqrt(q))
-    return alpha
+    return _rescale_dual(alpha, K.entries @ alpha, norm_budget)[0]
 
 
 def project_primal(beta, norm_budget):
@@ -81,24 +91,22 @@ def project_primal(beta, norm_budget):
 class _Loop:
     """Shared SGD loop; subclasses supply the per-minibatch update step.
 
-    Minibatches are sampled with replacement (O(k) per draw); the full-batch
-    path reuses the whole arrays without copying.
+    A minibatch is ``batch`` indices into the m Q-samples, drawn with
+    replacement (O(k) per draw); once ``batch`` covers all m samples, the
+    step gets ``None`` and reuses the whole arrays without copying.
     """
 
-    def __init__(self, n, m, cfg):
-        self.n = n
+    def __init__(self, m, cfg):
         self.m = m
         self.cfg = cfg
         self.rng = np.random.default_rng(cfg.seed)
-        self.batch = min(cfg.minibatch, n, m)
-        self.full_batch = self.batch >= n and self.batch >= m
+        self.batch = min(cfg.minibatch, m)
+        self.full_batch = self.batch >= m
 
     def sample_batch(self):
         if self.full_batch:
-            return None, None
-        ix = self.rng.integers(0, self.n, size=self.batch)
-        iy = self.rng.integers(0, self.m, size=self.batch)
-        return ix, iy
+            return None
+        return self.rng.integers(0, self.m, size=self.batch)
 
     def run(self, weights):
         cfg = self.cfg
@@ -109,8 +117,7 @@ class _Loop:
         converged = False
         it = 0
         for it in range(1, cfg.max_iter + 1):
-            ix, iy = self.sample_batch()
-            weights, kl = self.minibatch_step(weights, ix, iy)
+            weights, kl = self.minibatch_step(weights, self.sample_batch())
             if cfg.full_data_eval:
                 kl = self.full_evaluate(weights)
             if not np.isfinite(kl):
@@ -139,49 +146,54 @@ def _softmax_and_log_mean_exp(scores):
 
 
 class _DualLoop(_Loop):
+    """Dual steps carry the state (alpha, K alpha).
+
+    One product with K per step serves the Q scores, the penalty gradient and
+    the radial projection of the next step.
+    """
+
     def __init__(self, K, cfg):
-        super().__init__(K.n, K.m, cfg)
+        super().__init__(K.m, cfg)
         self.K = K
+        self.mean_kx = K.entries[: K.n].mean(axis=0)
 
-    def minibatch_step(self, alpha, ix, iy):
-        Kx = self.K.entries[: self.K.n] if ix is None else self.K.entries[ix]
-        Ky = self.K.entries[self.K.n :] if iy is None else self.K.entries[self.K.n + iy]
-        w, lme = _softmax_and_log_mean_exp(Ky @ alpha)
-        mean_kx = Kx.mean(axis=0)
+    def minibatch_step(self, state, iy):
+        alpha, k_alpha = state
+        n = self.K.n
+        rows = slice(n, None) if iy is None else n + iy
+        w, lme = _softmax_and_log_mean_exp(k_alpha[rows])
         # divergence of the incoming iterate on this minibatch, from quantities
-        # the gradient needs anyway (the update itself is unchanged)
-        kl = float(mean_kx @ alpha) - lme
-        grad = Ky.T @ w - mean_kx
+        # the gradient needs anyway
+        kl = float(self.mean_kx @ alpha) - lme
+        grad = self.K.entries[rows].T @ w - self.mean_kx
         if self.cfg.penalty_weight:
-            grad = grad + 2.0 * self.cfg.penalty_weight * (self.K.entries @ alpha)
-        alpha = project_dual(alpha - self.cfg.step_size * grad, self.K, self.cfg.norm_budget)
-        return alpha, kl
+            grad = grad + 2.0 * self.cfg.penalty_weight * k_alpha
+        alpha = alpha - self.cfg.step_size * grad
+        return _rescale_dual(alpha, self.K.entries @ alpha, self.cfg.norm_budget), kl
 
-    def full_evaluate(self, alpha):
-        scores = self.K.entries @ alpha
-        return float(np.mean(scores[: self.K.n])) - log_mean_exp(scores[self.K.n :])
+    def full_evaluate(self, state):
+        alpha, k_alpha = state
+        return float(self.mean_kx @ alpha) - log_mean_exp(k_alpha[self.K.n :])
 
 
 class _PrimalLoop(_Loop):
-    def __init__(self, PhiX, PhiY, cfg):
-        super().__init__(PhiX.shape[0], PhiY.shape[0], cfg)
-        self.PhiX = PhiX
+    def __init__(self, mean_phi_x, PhiY, cfg):
+        super().__init__(PhiY.shape[0], cfg)
+        self.mean_phi_x = mean_phi_x
         self.PhiY = PhiY
 
-    def minibatch_step(self, beta, ix, iy):
-        Px = self.PhiX if ix is None else self.PhiX[ix]
+    def minibatch_step(self, beta, iy):
         Py = self.PhiY if iy is None else self.PhiY[iy]
         w, lme = _softmax_and_log_mean_exp(Py @ beta)
-        mean_px = Px.mean(axis=0)
-        kl = float(mean_px @ beta) - lme
-        grad = Py.T @ w - mean_px
+        kl = float(self.mean_phi_x @ beta) - lme
+        grad = Py.T @ w - self.mean_phi_x
         if self.cfg.penalty_weight:
             grad = grad + 2.0 * self.cfg.penalty_weight * beta
         beta = project_primal(beta - self.cfg.step_size * grad, self.cfg.norm_budget)
         return beta, kl
 
     def full_evaluate(self, beta):
-        return float(np.mean(self.PhiX @ beta)) - log_mean_exp(self.PhiY @ beta)
+        return float(self.mean_phi_x @ beta) - log_mean_exp(self.PhiY @ beta)
 
 
 def run_dual(K, cfg):
@@ -192,18 +204,22 @@ def run_dual(K, cfg):
     """
     alpha0 = np.zeros(K.size)
     loop = _DualLoop(K, cfg)
-    alpha, trace = loop.run(alpha0)
+    (alpha, _), trace = loop.run((alpha0, np.zeros(K.size)))
     return DualWeights(alpha=alpha, norm_budget=cfg.norm_budget), trace
 
 
-def run_primal(PhiX, PhiY, cfg):
-    """Optimize the feature parameterization; per-step cost is O(minibatch * d)."""
-    PhiX = np.asarray(PhiX)
+def run_primal(mean_phi_x, PhiY, cfg):
+    """Optimize the feature parameterization; per-step cost is O(minibatch * d).
+
+    ``mean_phi_x`` is the mean feature vector of the P-samples (see
+    ``kernels.mean_feature_map``) and ``PhiY`` the m x d Q-sample features.
+    """
     PhiY = np.asarray(PhiY)
-    if PhiX.ndim != 2 or PhiY.ndim != 2 or PhiX.shape[1] != PhiY.shape[1]:
-        raise InvalidInputError("feature matrices must share one feature dimension")
+    mean_phi_x = np.asarray(mean_phi_x)
+    if PhiY.ndim != 2 or mean_phi_x.shape != PhiY.shape[1:]:
+        raise InvalidInputError("mean_phi_x must be a d-vector matching the columns of the m x d PhiY")
     # beta matches the feature dtype so float32 inputs avoid per-step upcasts
-    beta0 = np.zeros(PhiX.shape[1], dtype=np.result_type(PhiX.dtype, np.float32))
-    loop = _PrimalLoop(PhiX, PhiY, cfg)
-    beta, trace = loop.run(beta0)
+    dtype = np.result_type(PhiY.dtype, np.float32)
+    loop = _PrimalLoop(mean_phi_x.astype(dtype, copy=False), PhiY, cfg)
+    beta, trace = loop.run(np.zeros(PhiY.shape[1], dtype=dtype))
     return PrimalWeights(beta=beta, norm_budget=cfg.norm_budget), trace

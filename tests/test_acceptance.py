@@ -195,7 +195,7 @@ def test_09_feature_map_fidelity():
     _, dual_trace = run_dual(K, OptimizerConfig(step_size=0.05, max_iter=2000, seed=2))
     fm2 = sample_feature_map(1, 2048, KernelSpec(1.0), seed=3)
     PhiX, PhiY = apply_feature_map(fm2, X), apply_feature_map(fm2, Y)
-    _, primal_trace = run_primal(PhiX, PhiY, OptimizerConfig(step_size=0.5, max_iter=2000, seed=2))
+    _, primal_trace = run_primal(PhiX.mean(axis=0), PhiY, OptimizerConfig(step_size=0.5, max_iter=2000, seed=2))
     gap = abs(primal_trace.estimate - dual_trace.estimate)
 
     ok = mean_err <= 0.03 and gap <= 0.05

@@ -66,6 +66,21 @@ class TestDatasets:
         with pytest.raises(InvalidInputError, match="row 2"):
             read_csv_dataset(str(path))
 
+    @pytest.mark.parametrize("cell", ["0.1", "-0.0", "1e-310", " 2.5 ", "1_000", ".5", "5.", "1E5",
+                                      "0.30000000000000004", "123456789012345678901234567890"])
+    def test_cell_parses_as_float(self, tmp_path, cell):
+        path = tmp_path / "cells.csv"
+        path.write_text(f"a,b\n{cell},1\n1,{cell}\n")
+        _, data = read_csv_dataset(str(path))
+        expected = np.array([[float(cell), 1.0], [1.0, float(cell)]])
+        assert data.tobytes() == expected.tobytes()
+
+    def test_non_finite_cell_cites_row_and_column(self, tmp_path):
+        path = tmp_path / "inf.csv"
+        path.write_text("a,b\n1.0,2.0\n3.0,4.0\ninf,5.0\n")
+        with pytest.raises(InvalidInputError, match=r"row 4.*'a'.*non-finite"):
+            read_csv_dataset(str(path))
+
     def test_resolve_by_name_and_index(self):
         assert resolve_columns(["x", "y", "z"], ["y", "0"], "--x-cols") == [1, 0]
 
@@ -277,6 +292,18 @@ class TestFairnessCommand:
                                "--positive-class", "1")
         assert code == 1
         assert "--label-col" in err
+
+    def test_non_integer_labels_exit_one(self, tmp_path, capsys):
+        rng = np.random.default_rng(7)
+        n = 200
+        label = np.where(rng.random(n) < 0.5, 0.5, 1.7)
+        path = tmp_path / "frac.csv"
+        write_csv_dataset(path, ["pred", "attr", "label"],
+                          np.column_stack([rng.normal(size=n), rng.integers(0, 2, size=n), label]))
+        code, _, err = run_cli(capsys, "fairness", "--data", str(path), "--pred-col", "pred",
+                               "--attr-col", "attr", "--label-col", "label", *FAST)
+        assert code == 1
+        assert "'label'" in err and "non-integer" in err
 
     def test_determinism(self, audit_file, capsys):
         args = ["fairness", "--data", audit_file, "--pred-col", "pred",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,20 @@ class TestEstimateKl:
             estimate_kl(np.zeros((5, 1)), np.zeros((5, 2)))
         with pytest.raises(InvalidInputError):
             estimate_kl(np.array([[np.nan]] * 5), np.zeros((5, 1)))
+
+    def test_primal_peak_memory_is_one_feature_matrix(self):
+        # P enters through its streamed mean embedding, so only the Q-side
+        # n x d float32 matrix is ever held (numpy reports its buffers to tracemalloc)
+        n, d = 20_000, 1024
+        X, Y = gaussian_sets(n, shift=0.5, seed=9)
+        cfg = EstimatorConfig(feature_dim=d, optimizer=OptimizerConfig(max_iter=20, seed=9))
+        tracemalloc.start()
+        try:
+            estimate_kl(X, Y, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * d * 4
 
 
 class TestSplitPairs:

@@ -12,6 +12,7 @@ from kernelkl import (
     rbf_kernel,
     sample_feature_map,
 )
+from kernelkl.kernels import MEAN_CHUNK_ROWS, mean_feature_map
 
 
 class TestRbfKernel:
@@ -82,6 +83,23 @@ class TestBuildGram:
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):
             build_gram(np.zeros((0, 1)), np.zeros((2, 1)), KernelSpec(1.0))
+
+
+class TestMeanFeatureMap:
+    @pytest.mark.parametrize("n", [100, MEAN_CHUNK_ROWS, MEAN_CHUNK_ROWS + 1])
+    def test_matches_materialised_mean(self, n):
+        fm = sample_feature_map(2, 64, KernelSpec(0.7), seed=1)
+        X = np.random.default_rng(n).normal(size=(n, 2))
+        got = mean_feature_map(fm, X, dtype=np.float32)
+        assert got.dtype == np.float32
+        # the reference averages the same float32 features in float64, as the stream does
+        expected = apply_feature_map(fm, X, dtype=np.float32).mean(axis=0, dtype=np.float64)
+        np.testing.assert_allclose(got, expected, rtol=1e-6)
+
+    def test_rejects_empty_input(self):
+        fm = sample_feature_map(2, 8, KernelSpec(1.0), seed=0)
+        with pytest.raises(InvalidInputError):
+            mean_feature_map(fm, np.zeros((0, 2)))
 
 
 class TestFeatureMap:

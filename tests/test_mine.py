@@ -138,3 +138,9 @@ class TestMineEstimate:
             mine_estimate(np.zeros((5, 1)), np.zeros((5, 2)))
         with pytest.raises(InvalidInputError):
             MineConfig(hidden_width=0)
+
+    def test_nan_input_is_invalid_input(self):
+        X = np.zeros((5, 1))
+        X[2, 0] = np.nan
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            mine_estimate(X, np.zeros((5, 1)))

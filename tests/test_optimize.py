@@ -138,7 +138,7 @@ class TestRunPrimal:
         X = rng.normal(size=(50, 1))
         Y = rng.normal(size=(50, 1))
         PhiX, PhiY = self.features(X, Y)
-        _, trace = run_primal(PhiX, PhiY, OptimizerConfig(step_size=0.2, max_iter=200))
+        _, trace = run_primal(PhiX.mean(axis=0), PhiY, OptimizerConfig(step_size=0.2, max_iter=200))
         assert abs(trace.estimate) <= 0.05
 
     def test_seed_determinism(self):
@@ -147,8 +147,8 @@ class TestRunPrimal:
         Y = rng.normal(loc=1.0, size=(40, 1))
         PhiX, PhiY = self.features(X, Y)
         cfg = OptimizerConfig(max_iter=100, minibatch=16, seed=5)
-        _, t1 = run_primal(PhiX, PhiY, cfg)
-        _, t2 = run_primal(PhiX, PhiY, cfg)
+        _, t1 = run_primal(PhiX.mean(axis=0), PhiY, cfg)
+        _, t2 = run_primal(PhiX.mean(axis=0), PhiY, cfg)
         assert np.array_equal(t1.kl_values, t2.kl_values)
 
     def test_feasibility_throughout(self):
@@ -156,7 +156,7 @@ class TestRunPrimal:
         X = rng.normal(size=(50, 1))
         Y = rng.normal(loc=3.0, size=(50, 1))
         PhiX, PhiY = self.features(X, Y)
-        weights, _ = run_primal(PhiX, PhiY, OptimizerConfig(step_size=2.0, max_iter=200, norm_budget=1.0))
+        weights, _ = run_primal(PhiX.mean(axis=0), PhiY, OptimizerConfig(step_size=2.0, max_iter=200, norm_budget=1.0))
         assert np.linalg.norm(weights.beta) <= 1.0 + 1e-9
 
     def test_agrees_with_dual_on_gaussian_kl(self):
@@ -169,7 +169,7 @@ class TestRunPrimal:
         # size shrinks with n + m; the primal step does not
         _, dual_trace = run_dual(K, OptimizerConfig(step_size=0.05, max_iter=2000, seed=2))
         PhiX, PhiY = self.features(X, Y, d=2048, seed=3)
-        _, primal_trace = run_primal(PhiX, PhiY, OptimizerConfig(step_size=0.5, max_iter=2000, seed=2))
+        _, primal_trace = run_primal(PhiX.mean(axis=0), PhiY, OptimizerConfig(step_size=0.5, max_iter=2000, seed=2))
         assert abs(primal_trace.estimate - dual_trace.estimate) <= 0.05
 
     def test_stationary_full_batch(self):
@@ -178,6 +178,6 @@ class TestRunPrimal:
         Y = rng.normal(loc=0.5, size=(30, 1))
         PhiX, PhiY = self.features(X, Y, d=64)
         cfg = OptimizerConfig(step_size=0.5, max_iter=5000, minibatch=1000, gamma=1e-12, penalty_weight=1e-3)
-        weights, _ = run_primal(PhiX, PhiY, cfg)
+        weights, _ = run_primal(PhiX.mean(axis=0), PhiY, cfg)
         grad = primal_gradient(weights.beta, PhiX, PhiY, penalty_weight=cfg.penalty_weight)
         assert np.linalg.norm(grad) <= 1e-4
