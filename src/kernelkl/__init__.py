@@ -5,18 +5,15 @@ ball, solved as a convex problem either over Gram-matrix coefficients or over
 random Fourier feature coordinates.  A one-hidden-layer neural baseline, a
 bias/RMSE/variance benchmark harness, and MI-based fairness metrics round out
 the package.
+
+This namespace holds what users call.  Building blocks (kernels, the
+Donsker-Varadhan objective, the optimizers, the network witness) are imported
+from their submodules, e.g. ``from kernelkl.kernels import build_gram``.
 """
 
 from .benchmark import BenchmarkConfig, BenchmarkReport, BenchmarkRow, emit_report, run_benchmark
 from .errors import InvalidInputError, NumericalFailureError
-from .estimator import (
-    EstimateResult,
-    EstimatorConfig,
-    estimate_kl,
-    estimate_mi,
-    joint_and_product,
-    split_pairs,
-)
+from .estimator import EstimateResult, EstimatorConfig, estimate_kl, estimate_mi
 from .fairness import (
     AuditTable,
     FairnessReport,
@@ -25,35 +22,8 @@ from .fairness import (
     equality_of_odds,
     equality_of_opportunity,
 )
-from .kernels import (
-    FeatureMap,
-    GramMatrix,
-    KernelSpec,
-    apply_feature_map,
-    build_gram,
-    median_heuristic_bandwidth,
-    rbf_kernel,
-    sample_feature_map,
-)
-from .mine import MineConfig, MlpParams, mine_estimate, mine_forward
-from .objective import (
-    DualWeights,
-    ObjectiveValue,
-    PrimalWeights,
-    dual_gradient,
-    dual_objective,
-    log_mean_exp,
-    primal_gradient,
-    primal_objective,
-)
-from .optimize import (
-    OptimizationTrace,
-    OptimizerConfig,
-    project_dual,
-    project_primal,
-    run_dual,
-    run_primal,
-)
+from .mine import MineConfig, mine_estimate
+from .optimize import OptimizerConfig
 from .synthetic import GaussianPairSpec, analytic_gaussian_kl, analytic_mi, sample_gaussian_pairs
 
 __version__ = "0.1.0"
@@ -63,49 +33,24 @@ __all__ = [
     "BenchmarkConfig",
     "BenchmarkReport",
     "BenchmarkRow",
-    "DualWeights",
     "EstimateResult",
     "EstimatorConfig",
     "FairnessReport",
-    "FeatureMap",
     "GaussianPairSpec",
-    "GramMatrix",
     "InvalidInputError",
-    "KernelSpec",
     "MineConfig",
-    "MlpParams",
     "NumericalFailureError",
-    "ObjectiveValue",
-    "OptimizationTrace",
     "OptimizerConfig",
-    "PrimalWeights",
     "analytic_gaussian_kl",
     "analytic_mi",
-    "apply_feature_map",
     "audit",
-    "build_gram",
     "demographic_parity",
-    "dual_gradient",
-    "dual_objective",
     "emit_report",
     "equality_of_odds",
     "equality_of_opportunity",
     "estimate_kl",
     "estimate_mi",
-    "joint_and_product",
-    "log_mean_exp",
-    "median_heuristic_bandwidth",
     "mine_estimate",
-    "mine_forward",
-    "primal_gradient",
-    "primal_objective",
-    "project_dual",
-    "project_primal",
-    "rbf_kernel",
     "run_benchmark",
-    "run_dual",
-    "run_primal",
-    "sample_feature_map",
     "sample_gaussian_pairs",
-    "split_pairs",
 ]

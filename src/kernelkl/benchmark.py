@@ -11,7 +11,7 @@ import io
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -206,8 +206,9 @@ def run_benchmark(cfg, jobs=1):
     return BenchmarkReport(rows=tuple(rows), config=cfg)
 
 
-def _fmt(value):
-    return f"{value:.9g}"
+def _cells(row):
+    """The CSV_COLUMNS of one row as text: floats to 9 significant digits."""
+    return [row.estimator, str(row.dim)] + [f"{getattr(row, c):.9g}" for c in CSV_COLUMNS[2:]]
 
 
 def emit_report(report, format="csv"):
@@ -216,40 +217,14 @@ def emit_report(report, format="csv"):
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for row in report.rows:
-            writer.writerow(
-                [row.estimator, row.dim, _fmt(row.rho), _fmt(row.true_mi), _fmt(row.bias),
-                 _fmt(row.rmse), _fmt(row.variance), _fmt(row.mean_runtime_seconds)]
-            )
+        writer.writerows(_cells(row) for row in report.rows)
         return buf.getvalue().encode("utf-8")
     if format == "json":
-        payload = {
-            "schema_version": 1,
-            "rows": [
-                {
-                    "estimator": row.estimator,
-                    "dim": row.dim,
-                    "rho": row.rho,
-                    "true_mi": row.true_mi,
-                    "bias": row.bias,
-                    "rmse": row.rmse,
-                    "variance": row.variance,
-                    "mean_runtime_seconds": row.mean_runtime_seconds,
-                    "trials": row.trials,
-                    "failures": row.failures,
-                    "failed": row.failed,
-                }
-                for row in report.rows
-            ],
-        }
+        payload = {"schema_version": 1, "rows": [asdict(row) for row in report.rows]}
         return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
     if format == "table":
         header = list(CSV_COLUMNS)
-        body = [
-            [row.estimator, str(row.dim), _fmt(row.rho), _fmt(row.true_mi), _fmt(row.bias),
-             _fmt(row.rmse), _fmt(row.variance), _fmt(row.mean_runtime_seconds)]
-            for row in report.rows
-        ]
+        body = [_cells(row) for row in report.rows]
         widths = [max(len(header[i]), *(len(r[i]) for r in body)) if body else len(header[i]) for i in range(len(header))]
         lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
         lines += ["  ".join(c.ljust(w) for c, w in zip(r, widths)) for r in body]
@@ -264,18 +239,8 @@ def parse_csv_report(data):
     rows = list(reader)
     if not rows or rows[0] != list(CSV_COLUMNS):
         raise InvalidInputError("unrecognized report header")
-    out = []
-    for row in rows[1:]:
-        out.append(
-            {
-                "estimator": row[0],
-                "dim": int(row[1]),
-                "rho": float(row[2]),
-                "true_mi": float(row[3]),
-                "bias": float(row[4]),
-                "rmse": float(row[5]),
-                "variance": float(row[6]),
-                "mean_runtime_seconds": float(row[7]),
-            }
-        )
-    return out
+    floats = CSV_COLUMNS[2:]
+    return [
+        {"estimator": row[0], "dim": int(row[1]), **{c: float(v) for c, v in zip(floats, row[2:], strict=True)}}
+        for row in rows[1:]
+    ]

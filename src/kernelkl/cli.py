@@ -25,15 +25,19 @@ LN2 = float(np.log(2.0))
 
 
 def _add_estimator_flags(parser):
-    parser.add_argument("--mode", choices=["dual", "primal"], default="primal")
-    parser.add_argument("--features", type=int, default=1024, help="random-feature dimension (primal mode)")
+    defaults = EstimatorConfig()
+    opt = defaults.optimizer
+    parser.add_argument("--mode", choices=["dual", "primal"], default=defaults.mode)
+    parser.add_argument(
+        "--features", type=int, default=defaults.feature_dim, help="random-feature dimension (primal mode)"
+    )
     parser.add_argument("--bandwidth", default="median", help="kernel length scale, or 'median'")
-    parser.add_argument("--budget", type=float, default=10.0, help="norm budget M")
-    parser.add_argument("--step", type=float, default=0.5, help="SGD step size")
-    parser.add_argument("--max-iter", type=int, default=500)
-    parser.add_argument("--gamma", type=float, default=1e-5, help="convergence tolerance")
-    parser.add_argument("--batch", type=int, default=512, help="minibatch size")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--budget", type=float, default=opt.norm_budget, help="norm budget M")
+    parser.add_argument("--step", type=float, default=opt.step_size, help="SGD step size")
+    parser.add_argument("--max-iter", type=int, default=opt.max_iter)
+    parser.add_argument("--gamma", type=float, default=opt.gamma, help="convergence tolerance")
+    parser.add_argument("--batch", type=int, default=opt.minibatch, help="minibatch size")
+    parser.add_argument("--seed", type=int, default=opt.seed)
     parser.add_argument("--bits", action="store_true", help="display values in bits instead of nats")
 
 

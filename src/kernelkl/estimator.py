@@ -17,6 +17,7 @@ from .kernels import (
     DEFAULT_FEATURE_DIM,
     KernelSpec,
     apply_feature_map,
+    as_sample_pair,
     build_gram,
     mean_feature_map,
     median_heuristic_bandwidth,
@@ -85,20 +86,9 @@ class EstimateResult:
 
 
 def _validate_samples(X, Y):
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    if Y.ndim == 1:
-        Y = Y[:, None]
-    if X.ndim != 2 or Y.ndim != 2:
-        raise InvalidInputError("sample sets must be n x D matrices")
+    X, Y = as_sample_pair(X, Y)
     if X.shape[0] < 2 or Y.shape[0] < 2:
         raise InvalidInputError("need at least 2 samples on each side")
-    if X.shape[1] != Y.shape[1]:
-        raise InvalidInputError(f"X has dimension {X.shape[1]} but Y has dimension {Y.shape[1]}")
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
-        raise InvalidInputError("sample sets contain non-finite values")
     return X, Y
 
 

@@ -17,6 +17,9 @@ from .errors import InvalidInputError
 DEFAULT_FEATURE_DIM = 1024
 #: Rows mapped at a time by ``mean_feature_map``: 16 MB per chunk at d = 1024 in float32.
 MEAN_CHUNK_ROWS = 4096
+#: Largest pooled sample count ``build_gram`` accepts.  Each float64 copy of
+#: the Gram matrix is then 0.8 GB, and building it holds about three at once.
+MAX_GRAM_ROWS = 10_000
 
 
 @dataclass(frozen=True)
@@ -78,6 +81,18 @@ def _as_2d(samples, name):
     return arr
 
 
+def as_sample_pair(X, Y):
+    """Validate two sample sets as float matrices with one shared dimension.
+
+    A 1-D input is one sample per entry.  Each set must be nonempty and finite.
+    """
+    X = _as_2d(X, "X")
+    Y = _as_2d(Y, "Y")
+    if X.shape[1] != Y.shape[1]:
+        raise InvalidInputError(f"X has dimension {X.shape[1]} but Y has dimension {Y.shape[1]}")
+    return X, Y
+
+
 def rbf_kernel(x, y, spec):
     """Evaluate exp(-||x - y||^2 / (2 sigma^2)); always in (0, 1], symmetric."""
     x = np.asarray(x, dtype=float).ravel()
@@ -91,11 +106,18 @@ def rbf_kernel(x, y, spec):
 
 
 def build_gram(X, Y, spec):
-    """Kernel matrix over the pooled samples Z = X ++ Y (X rows first)."""
-    X = _as_2d(X, "X")
-    Y = _as_2d(Y, "Y")
-    if X.shape[1] != Y.shape[1]:
-        raise InvalidInputError(f"X has dimension {X.shape[1]} but Y has dimension {Y.shape[1]}")
+    """Kernel matrix over the pooled samples Z = X ++ Y (X rows first).
+
+    At most MAX_GRAM_ROWS pooled samples; larger inputs are refused before
+    anything quadratic in their size is allocated.
+    """
+    X, Y = as_sample_pair(X, Y)
+    pooled = X.shape[0] + Y.shape[0]
+    if pooled > MAX_GRAM_ROWS:
+        raise InvalidInputError(
+            f"dual mode needs a {pooled} x {pooled} Gram matrix ({pooled**2 * 8 / 1e9:.1f} GB per copy), "
+            f"above the limit of {MAX_GRAM_ROWS} pooled samples; use primal mode (--mode primal)"
+        )
     Z = np.vstack([X, Y])
     sq = cdist(Z, Z, metric="sqeuclidean")
     entries = np.exp(-sq / (2.0 * spec.bandwidth**2))
@@ -111,9 +133,7 @@ def median_heuristic_bandwidth(X, Y, max_points=1000, seed=0):
     Deterministic given the seed.  Falls back to 1.0 when all sampled points
     coincide (zero median), so downstream code never divides by zero.
     """
-    X = _as_2d(X, "X")
-    Y = _as_2d(Y, "Y")
-    Z = np.vstack([X, Y])
+    Z = np.vstack(as_sample_pair(X, Y))
     if Z.shape[0] > max_points:
         rng = np.random.default_rng(seed)
         idx = rng.choice(Z.shape[0], size=max_points, replace=False)

@@ -2,18 +2,19 @@
 
 The witness T is parameterized as t(z) = v . tanh(W z + b) + c and trained by
 minibatch SGD to maximize mean_P[t] - log mean_Q[exp(t)], with manual
-backpropagation (the softmax over Q-scores doubles as the gradient weights of
-the log-mean-exp term).  Parameters are unconstrained; a run that produces
-non-finite values raises instead of clamping.
+backpropagation: ``objective.dv_value_and_weights`` gives the bound and the
+weights over the Q-scores that backpropagate its log-mean-exp term.
+Parameters are unconstrained; a run that produces non-finite values raises
+instead of clamping.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import softmax
 
 from .errors import InvalidInputError
 from .estimator import EstimateResult, _validate_samples, derive_seed
+from .objective import dv_value_and_weights
 from .optimize import OptimizerConfig, _Loop
 
 _INIT_TAG = 11
@@ -99,10 +100,7 @@ def _weighted_score_gradient(params, Z, u):
 def dv_objective_and_gradient(params, Xb, Yb):
     """Bound value mean_P[t] - log mean_Q[exp(t)] and its parameter gradient."""
     tx = mine_forward(params, Xb)
-    ty = mine_forward(params, Yb)
-    mx = float(np.max(ty))
-    value = float(np.mean(tx)) - (mx + float(np.log(np.mean(np.exp(ty - mx)))))
-    w = softmax(ty)
+    value, w = dv_value_and_weights(float(np.mean(tx)), mine_forward(params, Yb))
     grad = _weighted_score_gradient(params, Xb, np.full(Xb.shape[0], 1.0 / Xb.shape[0]))
     grad -= _weighted_score_gradient(params, Yb, w)
     return value, grad
@@ -140,10 +138,6 @@ class _MineLoop(_Loop):
         value, grad = dv_objective_and_gradient(self._unpack(vec), Xb, Yb)
         vec = vec + self.cfg.step_size * grad
         return vec, value
-
-    def full_evaluate(self, vec):
-        value, _ = dv_objective_and_gradient(self._unpack(vec), self.X, self.Y)
-        return value
 
 
 def mine_estimate(X, Y, cfg=None):

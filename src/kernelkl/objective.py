@@ -1,20 +1,23 @@
 """Donsker-Varadhan loss in dual (Gram-row) and primal (feature) form.
 
-Both parameterizations score a witness function T against samples from P and
-Q through the same functional
+Every witness function T is scored against samples from P and Q through the
+same functional
 
     g = log( mean_j exp(T(y_j)) ) - mean_i T(x_i)
 
 whose negative is the KL lower bound being maximized.  In the dual form
-T(z) = alpha . K[z, :]; in the primal form T(z) = beta . phi(z).  All
-exponentials are routed through a max-shifted log-mean-exp so large scores
-never overflow.
+T(z) = alpha . K[z, :]; in the primal form T(z) = beta . phi(z); the MINE
+baseline uses a small network.  ``dv_value_and_weights`` is the one place the
+bound and the gradient weights of its Q term are computed: each witness supplies
+only its P-side mean and its Q-side scores, and one max-shifted exp pass over
+the scores keeps large values from overflowing.  The objective and gradient
+functions below are the full-data reference forms the optimizers are tested
+against.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import softmax
 
 from .errors import InvalidInputError
 
@@ -46,6 +49,18 @@ class ObjectiveValue:
         return -self.g
 
 
+def dv_value_and_weights(p_mean, q_scores):
+    """Bound value p_mean - log mean_j exp(q_j) and its softmax weights over q.
+
+    The weights are the gradient of the log-mean-exp term with respect to the
+    scores.  One exp pass serves both, and float32 scores stay float32.
+    """
+    mx = float(np.max(q_scores))
+    e = np.exp(q_scores - mx)
+    total = float(e.sum())
+    return p_mean - (mx + float(np.log(total / q_scores.size))), e / total
+
+
 def log_mean_exp(values):
     """log((1/m) sum exp(v_i)) via max-shift; exact for constant vectors."""
     values = np.asarray(values, dtype=float)
@@ -53,8 +68,9 @@ def log_mean_exp(values):
         raise InvalidInputError("log_mean_exp of an empty vector")
     if not np.all(np.isfinite(values)):
         raise InvalidInputError("log_mean_exp requires finite values")
-    mx = float(np.max(values))
-    return mx + float(np.log(np.mean(np.exp(values - mx))))
+    value, _ = dv_value_and_weights(0.0, values)
+    # 0.0 - value, not -value: a zero result stays +0.0
+    return 0.0 - value
 
 
 def _check_dual_dims(alpha, K):
@@ -75,13 +91,13 @@ def dual_objective(alpha, K):
 def dual_gradient(alpha, K, penalty_weight=0.0):
     """Gradient of g(alpha) + penalty_weight * alpha' K alpha.
 
-    Written in softmax form: the log-mean-exp term differentiates to a
-    softmax-weighted average of the Q-rows of K, which is algebraically equal
-    to the per-coordinate quotient form but immune to overflow.
+    The log-mean-exp term differentiates to an average of the Q-rows of K
+    under the weights of ``dv_value_and_weights``, which is algebraically
+    equal to the per-coordinate quotient form but immune to overflow.
     """
     alpha = _check_dual_dims(alpha, K)
     Kalpha = K.entries @ alpha
-    w = softmax(Kalpha[K.n :])
+    _, w = dv_value_and_weights(0.0, Kalpha[K.n :])
     grad = K.entries[K.n :].T @ w - np.mean(K.entries[: K.n], axis=0)
     if penalty_weight:
         grad = grad + 2.0 * penalty_weight * Kalpha
@@ -105,9 +121,9 @@ def primal_objective(beta, PhiX, PhiY):
 
 
 def primal_gradient(beta, PhiX, PhiY, penalty_weight=0.0):
-    """Gradient of g(beta) + penalty_weight * ||beta||^2 in softmax form."""
+    """Gradient of g(beta) + penalty_weight * ||beta||^2, weighted as in ``dual_gradient``."""
     beta = _check_primal_dims(beta, PhiX, PhiY)
-    w = softmax(PhiY @ beta)
+    _, w = dv_value_and_weights(0.0, PhiY @ beta)
     grad = PhiY.T @ w - np.mean(PhiX, axis=0)
     if penalty_weight:
         grad = grad + 2.0 * penalty_weight * beta

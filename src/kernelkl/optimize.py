@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from .errors import InvalidInputError, NumericalFailureError
-from .objective import DualWeights, PrimalWeights, log_mean_exp
+from .objective import DualWeights, PrimalWeights, dv_value_and_weights
 
 DEFAULT_NORM_BUDGET = 10.0
 
@@ -37,7 +37,6 @@ class OptimizerConfig:
     norm_budget: float = DEFAULT_NORM_BUDGET
     seed: int = 0
     convergence_window: int = 10
-    full_data_eval: bool = False  # evaluate the tracked divergence on all samples each step
 
     def __post_init__(self):
         if self.step_size <= 0 or self.max_iter <= 0 or self.gamma <= 0:
@@ -118,8 +117,6 @@ class _Loop:
         it = 0
         for it in range(1, cfg.max_iter + 1):
             weights, kl = self.minibatch_step(weights, self.sample_batch())
-            if cfg.full_data_eval:
-                kl = self.full_evaluate(weights)
             if not np.isfinite(kl):
                 raise NumericalFailureError(f"non-finite objective at iteration {it}", iteration=it)
             kl_values.append(kl)
@@ -135,14 +132,6 @@ class _Loop:
         estimate = float(np.mean(kl_values[-window:]))
         trace = OptimizationTrace(kl_values=kl_values, converged=converged, iterations=it, estimate=estimate)
         return weights, trace
-
-
-def _softmax_and_log_mean_exp(scores):
-    """One exp pass yields both the softmax weights and log-mean-exp of scores."""
-    mx = float(np.max(scores))
-    e = np.exp(scores - mx)
-    total = float(e.sum())
-    return e / total, mx + float(np.log(total / scores.size))
 
 
 class _DualLoop(_Loop):
@@ -161,19 +150,14 @@ class _DualLoop(_Loop):
         alpha, k_alpha = state
         n = self.K.n
         rows = slice(n, None) if iy is None else n + iy
-        w, lme = _softmax_and_log_mean_exp(k_alpha[rows])
         # divergence of the incoming iterate on this minibatch, from quantities
         # the gradient needs anyway
-        kl = float(self.mean_kx @ alpha) - lme
+        kl, w = dv_value_and_weights(float(self.mean_kx @ alpha), k_alpha[rows])
         grad = self.K.entries[rows].T @ w - self.mean_kx
         if self.cfg.penalty_weight:
             grad = grad + 2.0 * self.cfg.penalty_weight * k_alpha
         alpha = alpha - self.cfg.step_size * grad
         return _rescale_dual(alpha, self.K.entries @ alpha, self.cfg.norm_budget), kl
-
-    def full_evaluate(self, state):
-        alpha, k_alpha = state
-        return float(self.mean_kx @ alpha) - log_mean_exp(k_alpha[self.K.n :])
 
 
 class _PrimalLoop(_Loop):
@@ -184,16 +168,12 @@ class _PrimalLoop(_Loop):
 
     def minibatch_step(self, beta, iy):
         Py = self.PhiY if iy is None else self.PhiY[iy]
-        w, lme = _softmax_and_log_mean_exp(Py @ beta)
-        kl = float(self.mean_phi_x @ beta) - lme
+        kl, w = dv_value_and_weights(float(self.mean_phi_x @ beta), Py @ beta)
         grad = Py.T @ w - self.mean_phi_x
         if self.cfg.penalty_weight:
             grad = grad + 2.0 * self.cfg.penalty_weight * beta
         beta = project_primal(beta - self.cfg.step_size * grad, self.cfg.norm_budget)
         return beta, kl
-
-    def full_evaluate(self, beta):
-        return float(self.mean_phi_x @ beta) - log_mean_exp(self.PhiY @ beta)
 
 
 def run_dual(K, cfg):

@@ -14,27 +14,21 @@ import pytest
 from kernelkl import (
     BenchmarkConfig,
     EstimatorConfig,
-    KernelSpec,
     OptimizerConfig,
     analytic_mi,
-    apply_feature_map,
-    build_gram,
-    dual_objective,
     estimate_kl,
     estimate_mi,
-    rbf_kernel,
     run_benchmark,
-    run_dual,
-    run_primal,
-    sample_feature_map,
     sample_gaussian_pairs,
 )
 from kernelkl.benchmark import small_data_benchmark_config
 from kernelkl.cli import main as cli_main
 from kernelkl.datasets import write_csv_dataset
 from kernelkl.fairness import AuditTable, audit, equality_of_opportunity
+from kernelkl.kernels import KernelSpec, apply_feature_map, build_gram, rbf_kernel, sample_feature_map
 from kernelkl.mine import dv_objective_and_gradient, init_params, pack_params, unpack_params
-from kernelkl.objective import dual_gradient, primal_gradient, primal_objective
+from kernelkl.objective import dual_gradient, dual_objective, primal_gradient, primal_objective
+from kernelkl.optimize import run_dual, run_primal
 from kernelkl.synthetic import GaussianPairSpec
 
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from kernelkl import InvalidInputError
+from kernelkl import EstimatorConfig, InvalidInputError
 from kernelkl.cli import main
 from kernelkl.datasets import read_csv_dataset, resolve_columns, write_csv_dataset
 
@@ -215,6 +215,36 @@ class TestEstimateMi:
                                "--x-cols", "nope", "--y-cols", "y1")
         assert code == 1
         assert "nope" in err
+
+    def test_default_flags_match_library_defaults(self, tmp_path, capsys):
+        path = tmp_path / "pairs.csv"
+        write_csv_dataset(path, ["x", "y"], np.random.default_rng(5).normal(size=(50, 2)))
+        code, out, _ = run_cli(capsys, "estimate-mi", "--data", str(path),
+                               "--x-cols", "x", "--y-cols", "y", "--format", "json")
+        assert code == 0
+        defaults = EstimatorConfig()
+        opt = defaults.optimizer
+        assert json.loads(out)["config"] == {
+            "mode": defaults.mode,
+            "feature_dim": defaults.feature_dim,
+            "bandwidth": defaults.bandwidth,
+            "step_size": opt.step_size,
+            "max_iter": opt.max_iter,
+            "gamma": opt.gamma,
+            "minibatch": opt.minibatch,
+            "norm_budget": opt.norm_budget,
+            "penalty_weight": opt.penalty_weight,
+            "seed": opt.seed,
+        }
+
+    def test_dual_beyond_gram_limit_exit_one(self, tmp_path, capsys):
+        # 5001 joint rows plus 5001 permuted rows pool to 10002 > MAX_GRAM_ROWS
+        path = tmp_path / "pairs.csv"
+        write_csv_dataset(path, ["x", "y"], np.random.default_rng(6).normal(size=(5_001, 2)))
+        code, _, err = run_cli(capsys, "estimate-mi", "--data", str(path),
+                               "--x-cols", "x", "--y-cols", "y", "--mode", "dual")
+        assert code == 1
+        assert "10002 x 10002" in err and "--mode primal" in err
 
 
 class TestBenchmarkCommand:

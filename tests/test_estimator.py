@@ -11,11 +11,9 @@ from kernelkl import (
     analytic_mi,
     estimate_kl,
     estimate_mi,
-    joint_and_product,
     sample_gaussian_pairs,
-    split_pairs,
 )
-from kernelkl.estimator import derive_seed
+from kernelkl.estimator import derive_seed, joint_and_product, split_pairs
 
 
 def gaussian_sets(n, shift=0.0, scale=1.0, seed=0):
@@ -100,6 +98,12 @@ class TestEstimateKl:
             estimate_kl(np.zeros((5, 1)), np.zeros((5, 2)))
         with pytest.raises(InvalidInputError):
             estimate_kl(np.array([[np.nan]] * 5), np.zeros((5, 1)))
+
+    def test_non_finite_message_names_the_side(self):
+        Y = np.zeros((5, 1))
+        Y[3, 0] = np.inf
+        with pytest.raises(InvalidInputError, match="^Y contains non-finite values$"):
+            estimate_kl(np.zeros((5, 1)), Y)
 
     def test_primal_peak_memory_is_one_feature_matrix(self):
         # P enters through its streamed mean embedding, so only the Q-side

@@ -1,18 +1,22 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernelkl import (
-    InvalidInputError,
+from kernelkl import InvalidInputError
+from kernelkl.kernels import (
+    MAX_GRAM_ROWS,
+    MEAN_CHUNK_ROWS,
     KernelSpec,
     apply_feature_map,
     build_gram,
+    mean_feature_map,
     median_heuristic_bandwidth,
     rbf_kernel,
     sample_feature_map,
 )
-from kernelkl.kernels import MEAN_CHUNK_ROWS, mean_feature_map
 
 
 class TestRbfKernel:
@@ -83,6 +87,19 @@ class TestBuildGram:
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):
             build_gram(np.zeros((0, 1)), np.zeros((2, 1)), KernelSpec(1.0))
+
+    def test_oversized_pool_refused_before_allocating(self):
+        assert MAX_GRAM_ROWS == 10_000
+        X, Y = np.zeros((5_001, 1)), np.zeros((5_000, 1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidInputError, match=r"10001 x 10001.*--mode primal"):
+                build_gram(X, Y, KernelSpec(1.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one float64 copy of that Gram matrix would be 800 MB
+        assert peak < 10_000_000
 
 
 class TestMeanFeatureMap:

@@ -1,18 +1,18 @@
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernelkl import (
-    InvalidInputError,
-    KernelSpec,
-    build_gram,
+from kernelkl import InvalidInputError
+from kernelkl.kernels import KernelSpec, build_gram, rbf_kernel
+from kernelkl.objective import (
     dual_gradient,
     dual_objective,
+    dv_value_and_weights,
     log_mean_exp,
     primal_gradient,
     primal_objective,
-    rbf_kernel,
 )
 
 
@@ -45,6 +45,28 @@ class TestLogMeanExp:
     def test_non_finite_rejected(self):
         with pytest.raises(InvalidInputError):
             log_mean_exp([0.0, np.inf])
+
+
+class TestDvValueAndWeights:
+    def test_value_is_p_mean_minus_log_mean_exp(self):
+        q = np.random.default_rng(0).normal(size=50)
+        value, _ = dv_value_and_weights(0.3, q)
+        assert value == pytest.approx(0.3 - log_mean_exp(q), abs=1e-12)
+
+    def test_weights_are_softmax(self):
+        q = np.random.default_rng(1).normal(scale=3.0, size=50)
+        _, w = dv_value_and_weights(0.0, q)
+        np.testing.assert_allclose(w, scipy.special.softmax(q), rtol=1e-12)
+        assert w.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_finite_at_extreme_scores(self):
+        value, w = dv_value_and_weights(1.0, np.array([1000.0, -1000.0, 1000.0]))
+        assert value == pytest.approx(1.0 - (1000.0 + np.log(2.0 / 3.0)))
+        np.testing.assert_array_equal(w, [0.5, 0.0, 0.5])
+
+    def test_float32_scores_keep_float32_weights(self):
+        _, w = dv_value_and_weights(0.0, np.linspace(-2, 2, 9, dtype=np.float32))
+        assert w.dtype == np.float32
 
 
 class TestDualObjective:

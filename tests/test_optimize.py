@@ -1,19 +1,10 @@
 import numpy as np
 import pytest
 
-from kernelkl import (
-    KernelSpec,
-    OptimizerConfig,
-    build_gram,
-    dual_gradient,
-    dual_objective,
-    primal_gradient,
-    project_dual,
-    project_primal,
-    run_dual,
-    run_primal,
-)
-from kernelkl.kernels import apply_feature_map, sample_feature_map
+from kernelkl import OptimizerConfig
+from kernelkl.kernels import KernelSpec, apply_feature_map, build_gram, sample_feature_map
+from kernelkl.objective import dual_gradient, dual_objective, primal_gradient
+from kernelkl.optimize import project_dual, project_primal, run_dual, run_primal
 
 
 def small_problem(n=20, seed=0, shift=1.0):
