@@ -11,7 +11,7 @@ import io
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -97,31 +97,21 @@ class BenchmarkReport:
     config: BenchmarkConfig
 
 
-def small_data_kkle_config():
-    """Small-sample preset: dual path, full batch, 100 iterations, damped step."""
-    return EstimatorConfig(
-        mode="dual",
-        optimizer=OptimizerConfig(step_size=0.2, max_iter=100, minibatch=1_000_000),
-    )
-
-
-def small_data_mine_config():
-    """Small-sample preset matching the kernel estimator's step and budget."""
-    return MineConfig(
-        optimizer=OptimizerConfig(step_size=0.2, max_iter=100, minibatch=1_000_000, penalty_weight=0.0)
-    )
-
-
 def small_data_benchmark_config(trials=20, seed=0, rhos=(0.2, 0.5, 0.9)):
-    """Full small-sample protocol: N = 100, D = 1, both estimators."""
+    """Full small-sample protocol: N = 100, D = 1, both estimators.
+
+    Both estimators run full batch for 100 iterations at a damped step: the
+    kernel estimator on the dual path, MINE without the RKHS penalty.
+    """
+    opt = OptimizerConfig(step_size=0.2, max_iter=100, minibatch=1_000_000)
     return BenchmarkConfig(
         estimators=KNOWN_ESTIMATORS,
         dims=(1,),
         rhos=tuple(rhos),
         sample_count=100,
         trials=trials,
-        kkle_config=small_data_kkle_config(),
-        mine_config=small_data_mine_config(),
+        kkle_config=EstimatorConfig(mode="dual", optimizer=opt),
+        mine_config=MineConfig(optimizer=replace(opt, penalty_weight=0.0)),
         seed=seed,
     )
 

@@ -9,6 +9,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -39,6 +40,18 @@ def _add_estimator_flags(parser):
     parser.add_argument("--batch", type=int, default=opt.minibatch, help="minibatch size")
     parser.add_argument("--seed", type=int, default=opt.seed)
     parser.add_argument("--bits", action="store_true", help="display values in bits instead of nats")
+
+
+def _list_of(parse):
+    """argparse type for a comma-separated list whose items ``parse`` converts."""
+
+    def parse_list(text):
+        try:
+            return tuple(parse(item) for item in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {parse.__name__} values, got {text!r}") from None
+
+    return parse_list
 
 
 def _add_output_flags(parser):
@@ -80,6 +93,8 @@ def _emit_estimate(result, args, label):
     unit = "bits" if args.bits else "nats"
     value = _display(result.kl_estimate, args.bits)
     if args.format == "json":
+        config = asdict(result.config)
+        config.update(config.pop("optimizer"))
         payload = {
             "schema_version": SCHEMA_VERSION,
             "quantity": label,
@@ -90,18 +105,7 @@ def _emit_estimate(result, args, label):
             "degenerate": bool(result.degenerate),
             "sample_sizes": list(result.sample_sizes),
             "bandwidth": None if np.isnan(result.bandwidth) else result.bandwidth,
-            "config": {
-                "mode": result.config.mode,
-                "feature_dim": result.config.feature_dim,
-                "bandwidth": result.config.bandwidth,
-                "step_size": result.config.optimizer.step_size,
-                "max_iter": result.config.optimizer.max_iter,
-                "gamma": result.config.optimizer.gamma,
-                "minibatch": result.config.optimizer.minibatch,
-                "norm_budget": result.config.optimizer.norm_budget,
-                "penalty_weight": result.config.optimizer.penalty_weight,
-                "seed": result.config.optimizer.seed,
-            },
+            "config": config,
         }
         _write_output(json.dumps(payload, indent=2) + "\n", args.out)
     else:
@@ -131,17 +135,13 @@ def cmd_estimate_mi(args):
 
 
 def cmd_benchmark(args):
-    estimators = tuple(e.strip() for e in args.estimators.split(","))
-    dims = tuple(int(d) for d in args.dims.split(","))
-    rhos = tuple(float(r) for r in args.rhos.split(","))
-    kkle_cfg = _estimator_config(args)
     cfg = BenchmarkConfig(
-        estimators=estimators,
-        dims=dims,
-        rhos=rhos,
+        estimators=args.estimators,
+        dims=args.dims,
+        rhos=args.rhos,
         sample_count=args.n,
         trials=args.trials,
-        kkle_config=kkle_cfg,
+        kkle_config=_estimator_config(args),
         seed=args.seed,
     )
     report = run_benchmark(cfg, jobs=args.jobs)
@@ -168,8 +168,7 @@ def cmd_fairness(args):
     elif args.positive_class is not None:
         raise InvalidInputError("--positive-class requires --label-col")
     table = AuditTable(predictions=data[:, pred_idx], attribute=data[:, attr_idx], labels=labels)
-    positive = int(args.positive_class) if args.positive_class is not None else None
-    report = audit(table, _estimator_config(args), seed=args.seed, positive_class=positive)
+    report = audit(table, _estimator_config(args), seed=args.seed, positive_class=args.positive_class)
     scale = 1.0 / LN2 if args.bits else 1.0
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -219,9 +218,9 @@ def build_parser():
     p_mi.set_defaults(func=cmd_estimate_mi)
 
     p_bench = sub.add_parser("benchmark", help="bias/RMSE/variance grid over correlated-Gaussian tasks")
-    p_bench.add_argument("--estimators", default="kkle,mine")
-    p_bench.add_argument("--dims", default="1")
-    p_bench.add_argument("--rhos", default="0.2,0.5,0.9")
+    p_bench.add_argument("--estimators", type=_list_of(str.strip), default=("kkle", "mine"))
+    p_bench.add_argument("--dims", type=_list_of(int), default=(1,))
+    p_bench.add_argument("--rhos", type=_list_of(float), default=(0.2, 0.5, 0.9))
     p_bench.add_argument("--n", type=int, default=100_000)
     p_bench.add_argument("--trials", type=int, default=20)
     p_bench.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
@@ -235,7 +234,7 @@ def build_parser():
     p_fair.add_argument("--pred-col", required=True)
     p_fair.add_argument("--attr-col", required=True)
     p_fair.add_argument("--label-col", default=None)
-    p_fair.add_argument("--positive-class", default=None)
+    p_fair.add_argument("--positive-class", type=int, default=None)
     _add_estimator_flags(p_fair)
     p_fair.add_argument("--out", default=None)
     p_fair.set_defaults(func=cmd_fairness)

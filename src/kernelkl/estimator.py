@@ -36,7 +36,7 @@ def derive_seed(seed, tag):
     return int(np.random.SeedSequence(entropy=(int(seed) & (2**63 - 1), int(tag))).generate_state(1)[0])
 
 
-#: Default multiplier on the median-heuristic bandwidth.  The plain median is
+#: Multiplier on the median-heuristic bandwidth.  The plain median is
 #: too smooth for strongly peaked density ratios (high-correlation MI tasks
 #: cap well short of the truth); halving it restores capacity without hurting
 #: the low-divergence regime.
@@ -45,10 +45,9 @@ DEFAULT_BANDWIDTH_SCALE = 0.5
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    bandwidth: float | None = None  # None selects the scaled median heuristic
-    bandwidth_scale: float = DEFAULT_BANDWIDTH_SCALE
     mode: str = "primal"
     feature_dim: int = DEFAULT_FEATURE_DIM
+    bandwidth: float | None = None  # None selects the scaled median heuristic
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
 
     def __post_init__(self):
@@ -58,8 +57,6 @@ class EstimatorConfig:
             raise InvalidInputError("feature_dim must be >= 1 in primal mode")
         if self.bandwidth is not None and self.bandwidth <= 0:
             raise InvalidInputError("bandwidth must be positive")
-        if self.bandwidth_scale <= 0:
-            raise InvalidInputError("bandwidth_scale must be positive")
 
     def with_seed(self, seed):
         return replace(self, optimizer=self.optimizer.with_seed(seed))
@@ -114,7 +111,7 @@ def estimate_kl(X, Y, cfg=None):
     if cfg.bandwidth is not None:
         bandwidth = float(cfg.bandwidth)
     else:
-        bandwidth = cfg.bandwidth_scale * median_heuristic_bandwidth(
+        bandwidth = DEFAULT_BANDWIDTH_SCALE * median_heuristic_bandwidth(
             X, Y, seed=derive_seed(seed, _BANDWIDTH_TAG)
         )
     spec = KernelSpec(bandwidth=bandwidth)

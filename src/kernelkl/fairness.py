@@ -4,8 +4,8 @@ Demographic parity is I(prediction; attribute); equality of odds conditions on
 the ground-truth label and is computed as the class-frequency-weighted sum of
 per-class mutual informations; equality of opportunity is the single-class
 case.  Attributes may be categorical (integer-coded) or continuous; columns
-with repeated values get a small seeded uniform jitter before kernel
-estimation so the Gram structure stays well conditioned.
+with repeated values get a seeded uniform jitter of amplitude ``JITTER`` before
+kernel estimation so the Gram structure stays well conditioned.
 """
 
 from dataclasses import dataclass, field
@@ -18,7 +18,7 @@ from .estimator import EstimatorConfig, derive_seed, estimate_mi
 _JITTER_TAG = 21
 _CLASS_TAG_BASE = 1000
 
-DEFAULT_JITTER = 1e-3
+JITTER = 1e-3
 MIN_CLASS_ROWS = 4
 
 
@@ -56,72 +56,67 @@ class FairnessReport:
     equality_of_opportunity_mi: float | None = None
     per_class_detail: dict = field(default_factory=dict)
     skipped_classes: tuple = ()
-    degenerate: bool = False
 
 
-def _jitter_column(col, amplitude, seed):
-    """Break ties with seeded uniform noise; continuous columns pass through."""
-    if amplitude <= 0 or np.unique(col).size == col.size:
+def _jitter_column(col, seed):
+    """Break ties with seeded uniform noise of amplitude JITTER; continuous columns pass through."""
+    if np.unique(col).size == col.size:
         return col
     rng = np.random.default_rng(seed)
-    return col + rng.uniform(-amplitude, amplitude, size=col.shape)
+    return col + rng.uniform(-JITTER, JITTER, size=col.shape)
 
 
-def _column_mi(pred, attr, cfg, seed, jitter):
+def _column_mi(pred, attr, cfg, seed):
     if np.unique(pred).size == 1 or np.unique(attr).size == 1:
-        return 0.0, True
-    pred = _jitter_column(pred, jitter, derive_seed(seed, _JITTER_TAG))
-    attr = _jitter_column(attr, jitter, derive_seed(seed, _JITTER_TAG + 1))
+        return 0.0
+    pred = _jitter_column(pred, derive_seed(seed, _JITTER_TAG))
+    attr = _jitter_column(attr, derive_seed(seed, _JITTER_TAG + 1))
     pairs = np.column_stack([pred, attr])
     result = estimate_mi(pairs, [0], [1], cfg, seed=seed)
     # MI is nonnegative; clamp the optimizer's small negative excursions
-    return max(0.0, float(result.kl_estimate)), False
+    return max(0.0, float(result.kl_estimate))
 
 
-def demographic_parity(table, cfg=None, seed=0, jitter=DEFAULT_JITTER):
+def _class_mi(table, mask, rank, cfg, seed):
+    """MI within one label class; its seed derives from the class's rank among the sorted labels."""
+    return _column_mi(table.predictions[mask], table.attribute[mask], cfg, derive_seed(seed, _CLASS_TAG_BASE + rank))
+
+
+def demographic_parity(table, cfg=None, seed=0):
     """I(prediction; attribute); zero means the criterion is met."""
     cfg = cfg or EstimatorConfig()
     if len(table) < MIN_CLASS_ROWS:
         raise InvalidInputError(f"need at least {MIN_CLASS_ROWS} rows")
-    mi, _ = _column_mi(table.predictions, table.attribute, cfg, seed, jitter)
-    return mi
+    return _column_mi(table.predictions, table.attribute, cfg, seed)
 
 
-def _per_class_mi(table, cfg, seed, jitter):
-    """Conditional decomposition: class label -> (weight, mi); skips tiny classes."""
+def _per_class_mi(table, cfg, seed):
+    """Conditional decomposition: class label -> (weight, mi), plus the skipped tiny classes."""
     if table.labels is None:
         raise InvalidInputError("conditional metrics require a label column")
-    classes = sorted(np.unique(table.labels).tolist())
     detail = {}
     skipped = []
-    for idx, cls in enumerate(classes):
+    for rank, cls in enumerate(sorted(np.unique(table.labels).tolist())):
         mask = table.labels == cls
         count = int(mask.sum())
         if count < MIN_CLASS_ROWS:
             skipped.append(cls)
             continue
-        mi, _ = _column_mi(
-            table.predictions[mask],
-            table.attribute[mask],
-            cfg,
-            derive_seed(seed, _CLASS_TAG_BASE + idx),
-            jitter,
-        )
-        detail[cls] = (count, mi)
+        detail[cls] = (count, _class_mi(table, mask, rank, cfg, seed))
     if not detail:
         raise InvalidInputError("every label class has fewer rows than the minimum")
     total = sum(count for count, _ in detail.values())
-    return {cls: (count / total, mi) for cls, (count, mi) in detail.items()}, tuple(skipped), classes
+    return {cls: (count / total, mi) for cls, (count, mi) in detail.items()}, tuple(skipped)
 
 
-def equality_of_odds(table, cfg=None, seed=0, jitter=DEFAULT_JITTER):
+def equality_of_odds(table, cfg=None, seed=0):
     """I(prediction; attribute | label) via the per-class decomposition."""
     cfg = cfg or EstimatorConfig()
-    detail, _, _ = _per_class_mi(table, cfg, seed, jitter)
+    detail, _ = _per_class_mi(table, cfg, seed)
     return sum(weight * mi for weight, mi in detail.values())
 
 
-def equality_of_opportunity(table, positive_class, cfg=None, seed=0, jitter=DEFAULT_JITTER):
+def equality_of_opportunity(table, positive_class, cfg=None, seed=0):
     """I(prediction; attribute | label = positive_class)."""
     cfg = cfg or EstimatorConfig()
     if table.labels is None:
@@ -132,29 +127,21 @@ def equality_of_opportunity(table, positive_class, cfg=None, seed=0, jitter=DEFA
     mask = table.labels == positive_class
     if int(mask.sum()) < MIN_CLASS_ROWS:
         raise InvalidInputError(f"class {positive_class!r} has fewer than {MIN_CLASS_ROWS} rows")
-    idx = classes.index(positive_class)
-    mi, _ = _column_mi(
-        table.predictions[mask],
-        table.attribute[mask],
-        cfg,
-        derive_seed(seed, _CLASS_TAG_BASE + idx),
-        jitter,
-    )
-    return mi
+    return _class_mi(table, mask, classes.index(positive_class), cfg, seed)
 
 
-def audit(table, cfg=None, seed=0, jitter=DEFAULT_JITTER, positive_class=None):
+def audit(table, cfg=None, seed=0, positive_class=None):
     """Compute every metric the table supports and bundle them in one report."""
     cfg = cfg or EstimatorConfig()
-    dp = demographic_parity(table, cfg, seed=seed, jitter=jitter)
+    dp = demographic_parity(table, cfg, seed=seed)
     eo = eop = None
     detail = {}
     skipped = ()
     if table.labels is not None:
-        detail, skipped, _ = _per_class_mi(table, cfg, seed, jitter)
+        detail, skipped = _per_class_mi(table, cfg, seed)
         eo = sum(weight * mi for weight, mi in detail.values())
         if positive_class is not None:
-            eop = equality_of_opportunity(table, positive_class, cfg, seed=seed, jitter=jitter)
+            eop = equality_of_opportunity(table, positive_class, cfg, seed=seed)
     return FairnessReport(
         demographic_parity_mi=dp,
         equality_of_odds_mi=eo,

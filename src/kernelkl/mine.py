@@ -3,9 +3,10 @@
 The witness T is parameterized as t(z) = v . tanh(W z + b) + c and trained by
 minibatch SGD to maximize mean_P[t] - log mean_Q[exp(t)], with manual
 backpropagation: ``objective.dv_value_and_weights`` gives the bound and the
-weights over the Q-scores that backpropagate its log-mean-exp term.
-Parameters are unconstrained; a run that produces non-finite values raises
-instead of clamping.
+weights over the Q-scores that backpropagate its log-mean-exp term.  The
+steps run under the kernel estimator's driver, ``optimize.ascend``, with the
+same ``CONVERGENCE_WINDOW`` stopping rule.  Parameters are unconstrained; a
+run that produces non-finite values raises instead of clamping.
 """
 
 from dataclasses import dataclass, field
@@ -15,7 +16,7 @@ import numpy as np
 from .errors import InvalidInputError
 from .estimator import EstimateResult, _validate_samples, derive_seed
 from .objective import dv_value_and_weights
-from .optimize import OptimizerConfig, _Loop
+from .optimize import OptimizerConfig, ascend
 
 _INIT_TAG = 11
 _LOOP_TAG = 12
@@ -106,52 +107,33 @@ def dv_objective_and_gradient(params, Xb, Yb):
     return value, grad
 
 
-class _MineLoop(_Loop):
-    """The neural witness is nonlinear in P, so each minibatch also draws P indices."""
-
-    def __init__(self, X, Y, input_dim, hidden_width, cfg):
-        super().__init__(Y.shape[0], cfg)
-        self.n = X.shape[0]
-        self.batch = min(cfg.minibatch, self.n, self.m)
-        self.full_batch = self.batch >= self.n and self.batch >= self.m
-        self.X = X
-        self.Y = Y
-        self.input_dim = input_dim
-        self.hidden_width = hidden_width
-
-    def sample_batch(self):
-        if self.full_batch:
-            return None, None
-        ix = self.rng.integers(0, self.n, size=self.batch)
-        iy = self.rng.integers(0, self.m, size=self.batch)
-        return ix, iy
-
-    def _unpack(self, vec):
-        return unpack_params(vec, self.input_dim, self.hidden_width)
-
-    def minibatch_step(self, vec, batch):
-        ix, iy = batch
-        Xb = self.X if ix is None else self.X[ix]
-        Yb = self.Y if iy is None else self.Y[iy]
-        # ascent on the bound; the tracked value is the incoming iterate's,
-        # which the gradient computation produces for free
-        value, grad = dv_objective_and_gradient(self._unpack(vec), Xb, Yb)
-        vec = vec + self.cfg.step_size * grad
-        return vec, value
-
-
 def mine_estimate(X, Y, cfg=None):
     """Estimate KL(P || Q) with the neural witness; same stopping rule as the kernel path."""
     cfg = cfg or MineConfig()
     X, Y = _validate_samples(X, Y)
-    seed = cfg.optimizer.seed
-    params0 = init_params(X.shape[1], cfg.hidden_width, seed=derive_seed(seed, _INIT_TAG))
-    loop = _MineLoop(X, Y, X.shape[1], cfg.hidden_width, cfg.optimizer.with_seed(derive_seed(seed, _LOOP_TAG)))
-    _, trace = loop.run(pack_params(params0))
+    (n, input_dim), m = X.shape, Y.shape[0]
+    opt = cfg.optimizer
+    # the network is nonlinear in P, so minibatches draw P indices as well as Q;
+    # the whole arrays are reused only when the batch covers both n and m
+    batch = min(opt.minibatch, n, m)
+    full_batch = batch >= n and batch >= m
+
+    def step(vec, rng):
+        Xb, Yb = X, Y
+        if not full_batch:
+            Xb = X[rng.integers(0, n, size=batch)]
+            Yb = Y[rng.integers(0, m, size=batch)]
+        # ascent on the bound; the tracked value is the incoming iterate's,
+        # which the gradient computation produces for free
+        value, grad = dv_objective_and_gradient(unpack_params(vec, input_dim, cfg.hidden_width), Xb, Yb)
+        return vec + opt.step_size * grad, value
+
+    params0 = init_params(input_dim, cfg.hidden_width, seed=derive_seed(opt.seed, _INIT_TAG))
+    _, trace = ascend(step, pack_params(params0), opt.with_seed(derive_seed(opt.seed, _LOOP_TAG)))
     return EstimateResult(
         kl_estimate=trace.estimate,
         trace=trace,
         config=cfg,
-        sample_sizes=(X.shape[0], Y.shape[0]),
+        sample_sizes=(n, m),
         bandwidth=float("nan"),
     )

@@ -224,18 +224,27 @@ class TestEstimateMi:
         assert code == 0
         defaults = EstimatorConfig()
         opt = defaults.optimizer
-        assert json.loads(out)["config"] == {
-            "mode": defaults.mode,
-            "feature_dim": defaults.feature_dim,
-            "bandwidth": defaults.bandwidth,
-            "step_size": opt.step_size,
-            "max_iter": opt.max_iter,
-            "gamma": opt.gamma,
-            "minibatch": opt.minibatch,
-            "norm_budget": opt.norm_budget,
-            "penalty_weight": opt.penalty_weight,
-            "seed": opt.seed,
-        }
+        # a list of pairs pins the key order as well as the values
+        assert list(json.loads(out)["config"].items()) == [
+            ("mode", defaults.mode),
+            ("feature_dim", defaults.feature_dim),
+            ("bandwidth", defaults.bandwidth),
+            ("step_size", opt.step_size),
+            ("max_iter", opt.max_iter),
+            ("gamma", opt.gamma),
+            ("minibatch", opt.minibatch),
+            ("norm_budget", opt.norm_budget),
+            ("penalty_weight", opt.penalty_weight),
+            ("seed", opt.seed),
+        ]
+
+    @pytest.mark.parametrize("flag", ["--step", "--budget", "--gamma"])
+    def test_non_finite_optimizer_flag_exit_one(self, mi_file, capsys, flag):
+        code, out, err = run_cli(capsys, "estimate-mi", "--data", mi_file,
+                                 "--x-cols", "x1", "--y-cols", "y1", flag, "nan")
+        assert code == 1
+        assert out == ""
+        assert "finite and positive" in err
 
     def test_dual_beyond_gram_limit_exit_one(self, tmp_path, capsys):
         # 5001 joint rows plus 5001 permuted rows pool to 10002 > MAX_GRAM_ROWS
@@ -346,6 +355,18 @@ class TestFairnessCommand:
 class TestArgumentErrors:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["benchmark", "--dims", "1,x"],
+        ["benchmark", "--rhos", "0.5,zz"],
+        ["fairness", "--data", "audit.csv", "--pred-col", "p", "--attr-col", "a", "--positive-class", "abc"],
+    ])
+    def test_malformed_flag_value_exit_one(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage:")
+        assert f"argument {argv[-2]}:" in err and argv[-1] in err
 
     def test_missing_required_flag(self, capsys):
         assert main(["estimate-kl", "--p", "only_one_side.csv"]) == 1

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from kernelkl import OptimizerConfig
+from kernelkl import InvalidInputError, NumericalFailureError, OptimizerConfig
 from kernelkl.kernels import KernelSpec, apply_feature_map, build_gram, sample_feature_map
 from kernelkl.objective import dual_gradient, dual_objective, primal_gradient
-from kernelkl.optimize import project_dual, project_primal, run_dual, run_primal
+from kernelkl.optimize import CONVERGENCE_WINDOW, ascend, project_dual, project_primal, run_dual, run_primal
 
 
 def small_problem(n=20, seed=0, shift=1.0):
@@ -12,6 +12,58 @@ def small_problem(n=20, seed=0, shift=1.0):
     X = rng.normal(size=(n, 1))
     Y = rng.normal(loc=shift, size=(n, 1))
     return X, Y, build_gram(X, Y, KernelSpec(1.0))
+
+
+class TestOptimizerConfig:
+    @pytest.mark.parametrize("field,value", [
+        *((f, v) for f in ("step_size", "gamma", "norm_budget") for v in (float("nan"), float("inf"), 0.0, -1.0)),
+        *(("penalty_weight", v) for v in (float("nan"), float("inf"), -1.0)),
+    ])
+    def test_non_finite_or_out_of_range_rejected(self, field, value):
+        with pytest.raises(InvalidInputError, match=field):
+            OptimizerConfig(**{field: value})
+
+
+class TestAscend:
+    def test_constant_value_stalls_after_one_window(self):
+        calls = []
+
+        def step(weights, rng):
+            calls.append(rng)
+            return weights + 1, 0.25
+
+        weights, trace = ascend(step, 0, OptimizerConfig(max_iter=100))
+        # the first smoothed value has no predecessor, so the stall count
+        # reaches the window one step later
+        assert trace.converged and trace.iterations == CONVERGENCE_WINDOW + 1
+        assert weights == CONVERGENCE_WINDOW + 1
+        assert trace.estimate == 0.25
+        assert all(rng is calls[0] for rng in calls)
+
+    def test_max_iter_without_stall(self):
+        values = iter(range(1, 100))
+        _, trace = ascend(lambda w, rng: (w, float(next(values))), None, OptimizerConfig(max_iter=20))
+        assert not trace.converged and trace.iterations == 20
+        assert trace.estimate == np.mean(np.arange(11, 21))
+
+    def test_non_finite_value_raises_with_iteration(self):
+        values = iter([0.1, 0.2, float("nan")])
+        with pytest.raises(NumericalFailureError) as info:
+            ascend(lambda w, rng: (w, next(values)), None, OptimizerConfig())
+        assert info.value.iteration == 3
+
+    def test_rng_seeded_from_config(self):
+        def draws(seed):
+            out = []
+
+            def step(weights, rng):
+                out.append(int(rng.integers(1 << 30)))
+                return weights, 0.0
+
+            ascend(step, None, OptimizerConfig(max_iter=5, seed=seed))
+            return out
+
+        assert draws(4) == draws(4) != draws(5)
 
 
 class TestProjection:
