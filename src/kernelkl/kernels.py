@@ -5,21 +5,29 @@ with w_i ~ N(0, sigma^-2 I) and b_i ~ U[0, 2pi), so that phi(x) . phi(y)
 approximates exp(-||x - y||^2 / (2 sigma^2)).  Replacing the (n+m)^2 Gram
 matrix with (n+m) x d features drops the per-step optimization cost from
 quadratic to linear in the pooled sample count.
+
+Pairwise distances (the median-heuristic bandwidth and the Gram matrix) are
+computed in numpy, one coordinate at a time in coordinate order as
+sum_k (a_k - b_k)^2.  That is the order scipy.spatial.distance sums in, so
+the results are bit-identical to scipy's ``pdist``/``cdist``, without the
+cost of importing scipy.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
 
 from .errors import InvalidInputError
 
 DEFAULT_FEATURE_DIM = 1024
 #: Rows mapped at a time by ``mean_feature_map``: 16 MB per chunk at d = 1024 in float32.
 MEAN_CHUNK_ROWS = 4096
-#: Largest pooled sample count ``build_gram`` accepts.  Each float64 copy of
-#: the Gram matrix is then 0.8 GB, and building it holds about three at once.
+#: Largest pooled sample count ``build_gram`` accepts.  The float64 Gram matrix
+#: is then 0.8 GB; building it holds that one copy plus one block of rows.
 MAX_GRAM_ROWS = 10_000
+#: Rows of pairwise distances computed at a time, so the scratch array of
+#: ``sq_distances`` is one block of rows rather than a second full matrix.
+DISTANCE_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -105,11 +113,50 @@ def rbf_kernel(x, y, spec):
     return float(np.exp(-sq / (2.0 * spec.bandwidth**2)))
 
 
+def sq_distances(A, B, out=None):
+    """Squared Euclidean distances between the rows of A and of B, as a len(A) x len(B) array.
+
+    Bit-identical to ``scipy.spatial.distance.cdist(A, B, "sqeuclidean")``.
+    Holds one scratch array the size of the result when D > 1.
+    """
+    out = np.subtract(A[:, 0, None], B[None, :, 0], out=out)
+    np.multiply(out, out, out=out)
+    scratch = np.empty_like(out) if A.shape[1] > 1 else None
+    for k in range(1, A.shape[1]):
+        np.subtract(A[:, k, None], B[None, :, k], out=scratch)
+        np.multiply(scratch, scratch, out=scratch)
+        out += scratch
+    return out
+
+
+def pair_sq_distances(Z):
+    """Squared Euclidean distances of every pair i < j of rows of Z, as a flat array.
+
+    The values of ``scipy.spatial.distance.pdist(Z, "sqeuclidean")``, bit for
+    bit, but in block order rather than pdist's: per block of rows, the pairs
+    inside the block, then the block against every later row.
+    """
+    n = Z.shape[0]
+    out = np.empty(n * (n - 1) // 2)
+    pos = 0
+    for start in range(0, n, DISTANCE_BLOCK_ROWS):
+        block, later = Z[start : start + DISTANCE_BLOCK_ROWS], Z[start + DISTANCE_BLOCK_ROWS :]
+        inner = sq_distances(block, block)[np.triu_indices(len(block), 1)]
+        out[pos : pos + inner.size] = inner
+        pos += inner.size
+        cross = out[pos : pos + len(block) * len(later)]
+        sq_distances(block, later, out=cross.reshape(len(block), len(later)))
+        pos += cross.size
+    return out
+
+
 def build_gram(X, Y, spec):
     """Kernel matrix over the pooled samples Z = X ++ Y (X rows first).
 
     At most MAX_GRAM_ROWS pooled samples; larger inputs are refused before
-    anything quadratic in their size is allocated.
+    anything quadratic in their size is allocated.  The distances are
+    written into the matrix DISTANCE_BLOCK_ROWS rows at a time and turned
+    into kernel values in place, so no second (n+m)^2 array is made.
     """
     X, Y = as_sample_pair(X, Y)
     pooled = X.shape[0] + Y.shape[0]
@@ -119,12 +166,13 @@ def build_gram(X, Y, spec):
             f"above the limit of {MAX_GRAM_ROWS} pooled samples; use primal mode (--mode primal)"
         )
     Z = np.vstack([X, Y])
-    sq = cdist(Z, Z, metric="sqeuclidean")
-    entries = np.exp(-sq / (2.0 * spec.bandwidth**2))
-    # exact symmetry / unit diagonal regardless of cdist rounding
-    entries = 0.5 * (entries + entries.T)
-    np.fill_diagonal(entries, 1.0)
-    return GramMatrix(entries=entries, n=X.shape[0], m=Y.shape[0])
+    sq = np.empty((pooled, pooled))
+    for start in range(0, pooled, DISTANCE_BLOCK_ROWS):
+        sq_distances(Z[start : start + DISTANCE_BLOCK_ROWS], Z, out=sq[start : start + DISTANCE_BLOCK_ROWS])
+    # (a - b)^2 == (b - a)^2 in floating point, so the entries come out
+    # exactly symmetric with a unit diagonal
+    sq /= -2.0 * spec.bandwidth**2
+    return GramMatrix(entries=np.exp(sq, out=sq), n=X.shape[0], m=Y.shape[0])
 
 
 def median_heuristic_bandwidth(X, Y, max_points=1000, seed=0):
@@ -138,8 +186,16 @@ def median_heuristic_bandwidth(X, Y, max_points=1000, seed=0):
         rng = np.random.default_rng(seed)
         idx = rng.choice(Z.shape[0], size=max_points, replace=False)
         Z = Z[idx]
-    dists = pdist(Z)
-    med = float(np.median(dists)) if dists.size else 0.0
+    sq = pair_sq_distances(Z)
+    med = 0.0
+    if sq.size:
+        # np.median(np.sqrt(sq)) bit for bit: sqrt is monotone, so the middle
+        # distances are the roots of the middle squared distances, and one
+        # partition finds them (np.median partitions twice for an even size)
+        half = sq.size // 2
+        part = np.partition(sq, half)
+        middle = [part[half]] if sq.size % 2 else [part[:half].max(), part[half]]
+        med = float(np.mean(np.sqrt(middle)))
     return med if med > 0 else 1.0
 
 

@@ -19,6 +19,7 @@ returned scalar is the mean over the final window rather than the last
 iterate, which damps minibatch noise.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -62,10 +63,21 @@ class OptimizationTrace:
     estimate: float = field(default=float("nan"))
 
 
+def _require_finite_norm(norm):
+    """Raise NumericalFailureError if a weight norm overflowed.
+
+    Rescaling by norm_budget / inf would zero the weights silently, or give
+    0 * inf = NaN where a weight is infinite.
+    """
+    if not math.isfinite(norm):
+        raise NumericalFailureError("the weight norm is not finite after a gradient step; step_size is too large")
+
+
 def _rescale_dual(alpha, k_alpha, norm_budget):
     """Rescale alpha and its product K alpha by one factor so alpha' K alpha <= norm_budget^2."""
     q = float(alpha @ k_alpha)
-    if q > norm_budget**2:
+    if not q <= norm_budget**2:  # NaN too
+        _require_finite_norm(q)
         scale = norm_budget / np.sqrt(q)
         alpha = alpha * scale
         k_alpha = k_alpha * scale
@@ -84,7 +96,8 @@ def project_dual(alpha, K, norm_budget):
 def project_primal(beta, norm_budget):
     """Rescale beta radially so ||beta|| <= norm_budget."""
     nrm = float(np.linalg.norm(beta))
-    if nrm > norm_budget:
+    if not nrm <= norm_budget:  # NaN too
+        _require_finite_norm(nrm)
         beta = beta * (norm_budget / nrm)
     return beta
 
@@ -148,7 +161,9 @@ def run_dual(K, cfg):
         alpha = alpha - cfg.step_size * grad
         return _rescale_dual(alpha, K.entries @ alpha, cfg.norm_budget), kl
 
-    (alpha, _), trace = ascend(step, (np.zeros(K.size), np.zeros(K.size)), cfg)
+    # an overflowing step is reported by the projection, not by numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        (alpha, _), trace = ascend(step, (np.zeros(K.size), np.zeros(K.size)), cfg)
     return DualWeights(alpha=alpha, norm_budget=cfg.norm_budget), trace
 
 
@@ -175,5 +190,7 @@ def run_primal(mean_phi_x, PhiY, cfg):
             grad = grad + 2.0 * cfg.penalty_weight * beta
         return project_primal(beta - cfg.step_size * grad, cfg.norm_budget), kl
 
-    beta, trace = ascend(step, np.zeros(PhiY.shape[1], dtype=dtype), cfg)
+    # an overflowing step is reported by the projection, not by numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        beta, trace = ascend(step, np.zeros(PhiY.shape[1], dtype=dtype), cfg)
     return PrimalWeights(beta=beta, norm_budget=cfg.norm_budget), trace

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import kernelkl
 from kernelkl import EstimatorConfig, InvalidInputError
 from kernelkl.cli import main
 from kernelkl.datasets import read_csv_dataset, resolve_columns, write_csv_dataset
@@ -187,6 +191,26 @@ class TestEstimateKl:
         code, _, err = run_cli(capsys, "estimate-kl", "--p", p, "--q", q, "--bandwidth", "wide")
         assert code == 1
         assert "bandwidth" in err
+
+    @pytest.mark.parametrize("mode", ["primal", "dual"])
+    def test_overflowing_step_exit_two_without_numpy_warnings(self, tmp_path, mode):
+        rng = np.random.default_rng(0)
+        p, q = tmp_path / "p.csv", tmp_path / "q.csv"
+        write_csv_dataset(p, ["x"], rng.normal(size=(400, 1)))
+        write_csv_dataset(q, ["x"], rng.normal(loc=1.0, size=(300, 1)))
+        # a fresh interpreter, so stderr shows any numpy warning as a user sees it
+        src = os.path.dirname(os.path.dirname(os.path.abspath(kernelkl.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(s for s in (src, os.environ.get("PYTHONPATH")) if s))
+        proc = subprocess.run(
+            [sys.executable, "-m", "kernelkl", "estimate-kl", "--p", str(p), "--q", str(q),
+             "--step", "1e308", "--max-iter", "5", "--mode", mode],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "numerical failure: the weight norm is not finite after a gradient step; step_size is too large\n"
+        )
 
 
 class TestEstimateMi:

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist, pdist
 
 from kernelkl import InvalidInputError
 from kernelkl.kernels import (
+    DISTANCE_BLOCK_ROWS,
     MAX_GRAM_ROWS,
     MEAN_CHUNK_ROWS,
     KernelSpec,
@@ -14,9 +16,20 @@ from kernelkl.kernels import (
     build_gram,
     mean_feature_map,
     median_heuristic_bandwidth,
+    pair_sq_distances,
     rbf_kernel,
     sample_feature_map,
+    sq_distances,
 )
+
+DIMS = [1, 2, 3, 8, 33]
+
+
+def with_coincident_rows(rng, n, dim):
+    Z = rng.normal(scale=rng.uniform(0.1, 10.0), size=(n, dim))
+    Z[1] = Z[0]
+    Z[-1] = Z[n // 2]
+    return Z
 
 
 class TestRbfKernel:
@@ -48,6 +61,30 @@ class TestRbfKernel:
             KernelSpec(0.0)
         with pytest.raises(InvalidInputError):
             KernelSpec(-1.0)
+
+
+class TestPairwiseDistances:
+    """The numpy distances must keep scipy.spatial.distance's bits, not just its values."""
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_sq_distances_equal_cdist(self, dim):
+        rng = np.random.default_rng(dim)
+        A = with_coincident_rows(rng, 37, dim)
+        B = np.vstack([A[:5], rng.normal(size=(24, dim))])
+        assert np.array_equal(sq_distances(A, B), cdist(A, B, "sqeuclidean"))
+        assert np.array_equal(sq_distances(A, A), cdist(A, A, "sqeuclidean"))
+
+    @pytest.mark.parametrize("dim", DIMS)
+    @pytest.mark.parametrize("n", [2, 3, DISTANCE_BLOCK_ROWS, 2 * DISTANCE_BLOCK_ROWS + 11])
+    def test_pair_sq_distances_hold_pdist_values(self, dim, n):
+        Z = with_coincident_rows(np.random.default_rng(n + dim), n, dim)
+        sq = pair_sq_distances(Z)
+        # the same multiset of values as pdist, in block order
+        assert np.array_equal(np.sort(sq), np.sort(pdist(Z, "sqeuclidean")))
+        assert np.array_equal(np.sort(np.sqrt(sq)), np.sort(pdist(Z)))
+
+    def test_single_row_has_no_pairs(self):
+        assert pair_sq_distances(np.zeros((1, 3))).shape == (0,)
 
 
 class TestBuildGram:
@@ -100,6 +137,32 @@ class TestBuildGram:
             tracemalloc.stop()
         # one float64 copy of that Gram matrix would be 800 MB
         assert peak < 10_000_000
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_entries_equal_cdist_formula(self, dim):
+        rng = np.random.default_rng(dim)
+        X = with_coincident_rows(rng, 90, dim)
+        Y = np.vstack([X[:3], rng.normal(size=(57, dim))])
+        spec = KernelSpec(0.37 * dim)
+        # the scipy reference, symmetrised and with the diagonal forced to 1
+        Z = np.vstack([X, Y])
+        expected = np.exp(-cdist(Z, Z, metric="sqeuclidean") / (2.0 * spec.bandwidth**2))
+        expected = 0.5 * (expected + expected.T)
+        np.fill_diagonal(expected, 1.0)
+        assert np.array_equal(build_gram(X, Y, spec).entries, expected)
+
+    def test_memory_peak_is_the_matrix_and_one_block(self):
+        rng = np.random.default_rng(0)
+        X, Y = rng.normal(size=(1_700, 2)), rng.normal(size=(1_300, 2))
+        tracemalloc.start()
+        try:
+            K = build_gram(X, Y, KernelSpec(1.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        matrix_bytes = K.size**2 * 8
+        # no second (n+m)^2 array: the only scratch is DISTANCE_BLOCK_ROWS rows
+        assert peak <= 1.1 * matrix_bytes
 
 
 class TestMeanFeatureMap:
@@ -206,6 +269,24 @@ class TestMedianHeuristic:
     def test_degenerate_fallback(self):
         X = np.zeros((5, 1))
         assert median_heuristic_bandwidth(X, X) == 1.0
+
+    @pytest.mark.parametrize("dim", DIMS)
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_equals_median_of_pdist_on_subsample(self, dim, seed):
+        rng = np.random.default_rng(dim)
+        X = with_coincident_rows(rng, 700, dim)
+        Y = rng.normal(size=(600, dim))
+        # the same seeded subsample of 1000 from the 1300 pooled points
+        Z = np.vstack([X, Y])
+        Z_sub = Z[np.random.default_rng(seed).choice(Z.shape[0], size=1000, replace=False)]
+        assert median_heuristic_bandwidth(X, Y, seed=seed) == float(np.median(pdist(Z_sub)))
+
+    @pytest.mark.parametrize("pooled", [2, 3, 7, 8, 131])
+    def test_equals_median_of_pdist_odd_and_even_pair_counts(self, pooled):
+        # 7 points give 21 pairs (one middle value), 8 give 28 (two)
+        # rounding makes ties among the distances
+        Z = np.round(np.random.default_rng(pooled).normal(size=(pooled, 2)), 1)
+        assert median_heuristic_bandwidth(Z[:1], Z[1:]) == float(np.median(pdist(Z)))
 
 
 @settings(max_examples=25, deadline=None)

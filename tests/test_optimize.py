@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,39 @@ class TestProjection:
         out = project_primal(beta, 2.5)
         assert np.linalg.norm(out) == pytest.approx(2.5)
         np.testing.assert_allclose(out, beta / 2.0)
+
+    @pytest.mark.parametrize("beta", [[np.inf, 1.0], [np.nan, 1.0], [1e200, 1e200]])
+    def test_primal_non_finite_norm_raises(self, beta):
+        # rescaling by M / inf would zero beta, or give 0 * inf = NaN
+        with np.errstate(over="ignore"), pytest.raises(NumericalFailureError, match="step_size"):
+            project_primal(np.array(beta), 1.0)
+
+    def test_dual_non_finite_norm_raises(self):
+        _, _, K = small_problem()
+        with np.errstate(over="ignore"), pytest.raises(NumericalFailureError, match="step_size"):
+            project_dual(np.full(K.size, 1e200), K, norm_budget=10.0)
+
+
+class TestOverflowingStep:
+    """A huge finite step is a numerical failure naming step_size, without numpy warnings."""
+
+    @pytest.mark.parametrize("step_size", [1e30, 1e308])
+    def test_primal(self, step_size):
+        X, Y, _ = small_problem()
+        fm = sample_feature_map(1, 64, KernelSpec(1.0))
+        PhiX, PhiY = (apply_feature_map(fm, Z, dtype=np.float32) for Z in (X, Y))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailureError, match="step_size is too large"):
+                run_primal(PhiX.mean(axis=0), PhiY, OptimizerConfig(step_size=step_size, max_iter=5))
+
+    @pytest.mark.parametrize("step_size", [1e200, 1e308])
+    def test_dual(self, step_size):
+        _, _, K = small_problem()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailureError, match="step_size is too large"):
+                run_dual(K, OptimizerConfig(step_size=step_size, max_iter=5))
 
 
 class TestRunDual:
