@@ -10,7 +10,6 @@ import csv
 import io
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -100,10 +99,11 @@ class BenchmarkReport:
 def small_data_benchmark_config(trials=20, seed=0, rhos=(0.2, 0.5, 0.9)):
     """Full small-sample protocol: N = 100, D = 1, both estimators.
 
-    Both estimators run full batch for 100 iterations at a damped step: the
-    kernel estimator on the dual path, MINE without the RKHS penalty.
+    Both estimators run full batch for 100 iterations: the kernel estimator
+    on the dual path at the default step, MINE at a damped step without the
+    RKHS penalty.
     """
-    opt = OptimizerConfig(step_size=0.2, max_iter=100, minibatch=1_000_000)
+    opt = OptimizerConfig(max_iter=100, minibatch=1_000_000)
     return BenchmarkConfig(
         estimators=KNOWN_ESTIMATORS,
         dims=(1,),
@@ -111,7 +111,7 @@ def small_data_benchmark_config(trials=20, seed=0, rhos=(0.2, 0.5, 0.9)):
         sample_count=100,
         trials=trials,
         kkle_config=EstimatorConfig(mode="dual", optimizer=opt),
-        mine_config=MineConfig(optimizer=replace(opt, penalty_weight=0.0)),
+        mine_config=MineConfig(optimizer=replace(opt, step_size=0.2, penalty_weight=0.0)),
         seed=seed,
     )
 
@@ -159,6 +159,9 @@ def run_benchmark(cfg, jobs=1):
             tasks.append((est, dim, rho, cfg.sample_count, data_seed, est_seed, cfg.kkle_config, cfg.mine_config))
 
     if jobs > 1:
+        # imported here, so that importing kernelkl does not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_run_trial, tasks, chunksize=1))
     else:

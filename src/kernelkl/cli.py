@@ -30,7 +30,10 @@ def _add_estimator_flags(parser):
     opt = defaults.optimizer
     parser.add_argument("--mode", choices=["dual", "primal"], default=defaults.mode)
     parser.add_argument(
-        "--features", type=int, default=defaults.feature_dim, help="random-feature dimension (primal mode)"
+        "--features",
+        type=int,
+        default=defaults.feature_dim,
+        help="number of random Fourier features (primal), or the most pivoted-Cholesky features (dual)",
     )
     parser.add_argument("--bandwidth", default="median", help="kernel length scale, or 'median'")
     parser.add_argument("--budget", type=float, default=opt.norm_budget, help="norm budget M")

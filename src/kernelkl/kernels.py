@@ -1,10 +1,12 @@
-"""Gaussian RBF kernel, Gram matrices, and random Fourier feature maps.
+"""Gaussian RBF kernel, Gram matrices, pivoted Cholesky factors, and random Fourier feature maps.
 
 The feature map follows Rahimi-Recht: phi_i(x) = sqrt(2/d) * cos(w_i . x + b_i)
 with w_i ~ N(0, sigma^-2 I) and b_i ~ U[0, 2pi), so that phi(x) . phi(y)
 approximates exp(-||x - y||^2 / (2 sigma^2)).  Replacing the (n+m)^2 Gram
 matrix with (n+m) x d features drops the per-step optimization cost from
-quadratic to linear in the pooled sample count.
+quadratic to linear in the pooled sample count.  The rows of a pivoted
+Cholesky factor K ~= L L' are exact-kernel features of the pooled samples,
+built from kernel columns on demand without forming K.
 
 Pairwise distances (the median-heuristic bandwidth and the Gram matrix) are
 computed in numpy, one coordinate at a time in coordinate order as
@@ -24,7 +26,10 @@ DEFAULT_FEATURE_DIM = 1024
 MEAN_CHUNK_ROWS = 4096
 #: Largest pooled sample count ``build_gram`` accepts.  The float64 Gram matrix
 #: is then 0.8 GB; building it holds that one copy plus one block of rows.
+#: ``pivoted_cholesky`` keeps its factor within the same MAX_GRAM_ROWS**2 entries.
 MAX_GRAM_ROWS = 10_000
+#: ``pivoted_cholesky`` stops once every diagonal residual of K - L L' is at most this.
+CHOLESKY_TOL = 1e-6
 #: Rows of pairwise distances computed at a time, so the scratch array of
 #: ``sq_distances`` is one block of rows rather than a second full matrix.
 DISTANCE_BLOCK_ROWS = 64
@@ -150,6 +155,13 @@ def pair_sq_distances(Z):
     return out
 
 
+def kernel_values(A, B, spec, out=None):
+    """exp(-||a - b||^2 / (2 sigma^2)) for every row a of A and b of B, as a len(A) x len(B) array."""
+    out = sq_distances(A, B, out=out)
+    out /= -2.0 * spec.bandwidth**2
+    return np.exp(out, out=out)
+
+
 def build_gram(X, Y, spec):
     """Kernel matrix over the pooled samples Z = X ++ Y (X rows first).
 
@@ -162,17 +174,55 @@ def build_gram(X, Y, spec):
     pooled = X.shape[0] + Y.shape[0]
     if pooled > MAX_GRAM_ROWS:
         raise InvalidInputError(
-            f"dual mode needs a {pooled} x {pooled} Gram matrix ({pooled**2 * 8 / 1e9:.1f} GB per copy), "
+            f"a {pooled} x {pooled} Gram matrix ({pooled**2 * 8 / 1e9:.1f} GB per copy) is "
             f"above the limit of {MAX_GRAM_ROWS} pooled samples; use primal mode (--mode primal)"
         )
     Z = np.vstack([X, Y])
-    sq = np.empty((pooled, pooled))
+    entries = np.empty((pooled, pooled))
     for start in range(0, pooled, DISTANCE_BLOCK_ROWS):
-        sq_distances(Z[start : start + DISTANCE_BLOCK_ROWS], Z, out=sq[start : start + DISTANCE_BLOCK_ROWS])
+        block = slice(start, start + DISTANCE_BLOCK_ROWS)
+        kernel_values(Z[block], Z, spec, out=entries[block])
     # (a - b)^2 == (b - a)^2 in floating point, so the entries come out
     # exactly symmetric with a unit diagonal
-    sq /= -2.0 * spec.bandwidth**2
-    return GramMatrix(entries=np.exp(sq, out=sq), n=X.shape[0], m=Y.shape[0])
+    return GramMatrix(entries=entries, n=X.shape[0], m=Y.shape[0])
+
+
+def pivoted_cholesky(column, size, max_rank):
+    """Greedy pivoted Cholesky factor K ~= L L' of a size x size kernel matrix with unit diagonal.
+
+    ``column(i)`` returns column i of K; only pivot columns are requested,
+    so K is never formed.  Each step pivots on the largest diagonal residual
+    of K - L L' and the factor stops at max_rank columns or once every
+    residual is at most CHOLESKY_TOL (Fine & Scheinberg 2001; Harbrecht,
+    Peters & Schneider 2012).  Returns (L, pivots) with L of shape
+    size x rank: K[:, pivots] equals L @ L[pivots].T, L[pivots] is lower
+    triangular, and every row of L has norm at most 1, the kernel's diagonal.
+
+    A factor of more than MAX_GRAM_ROWS**2 entries is refused before
+    anything is allocated.  L' is filled row by row, so only the rows
+    reached take memory.
+    """
+    cap = min(size, max_rank)
+    if size * cap > MAX_GRAM_ROWS**2:
+        raise InvalidInputError(
+            f"dual mode factors {size} pooled samples into up to {cap} features "
+            f"({size * cap * 8 / 1e9:.1f} GB), above the limit of {MAX_GRAM_ROWS**2} entries; "
+            "use primal mode (--mode primal) or fewer features (--features)"
+        )
+    Lt = np.empty((cap, size))
+    residual = np.ones(size)
+    pivots = []
+    for k in range(cap):
+        p = int(np.argmax(residual))
+        if residual[p] <= CHOLESKY_TOL:
+            break
+        row = np.subtract(column(p), Lt[:k, p] @ Lt[:k], out=Lt[k])
+        row /= np.sqrt(residual[p])
+        # the residual of an earlier pivot is exhausted: zero, not rounding noise
+        row[pivots] = 0.0
+        residual -= row * row
+        pivots.append(p)
+    return Lt[: len(pivots)].T, np.array(pivots, dtype=np.intp)
 
 
 def median_heuristic_bandwidth(X, Y, max_points=1000, seed=0):

@@ -129,7 +129,9 @@ def mine_estimate(X, Y, cfg=None):
         return vec + opt.step_size * grad, value
 
     params0 = init_params(input_dim, cfg.hidden_width, seed=derive_seed(opt.seed, _INIT_TAG))
-    _, trace = ascend(step, pack_params(params0), opt.with_seed(derive_seed(opt.seed, _LOOP_TAG)))
+    # an overflowing step surfaces as a non-finite value from ascend, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, trace = ascend(step, pack_params(params0), opt.with_seed(derive_seed(opt.seed, _LOOP_TAG)))
     return EstimateResult(
         kl_estimate=trace.estimate,
         trace=trace,

@@ -1,15 +1,16 @@
 """Projected minibatch SGD over the Donsker-Varadhan loss.
 
-One driver, ``ascend``, serves both kernel parameterizations and the MINE
-network.  Each caller passes a step that draws its minibatch from the
-driver's seeded generator, takes one gradient ascent step on the divergence
-estimate (equivalently a descent step on the penalized loss), projects back
-into its feasible set if it has one, and returns the incoming iterate's
-divergence on that minibatch (available for free from the gradient
-computation).  Both kernel witnesses are linear in their weights, so the P
-term of the bound is the weights dotted with the P-side mean (the kernel mean
-embedding); it is computed once, exactly, and only the log-mean-exp term over
-Q is sampled.
+One driver, ``ascend``, serves the kernel witness and the MINE network.  Each
+caller passes a step that draws its minibatch from the driver's seeded
+generator, takes one gradient ascent step on the divergence estimate
+(equivalently a descent step on the penalized loss), projects back into its
+feasible set if it has one, and returns the incoming iterate's divergence on
+that minibatch (available for free from the gradient computation).  The
+kernel witness is linear in its feature weights, so the P term of the bound
+is the weights dotted with the P-side mean (the kernel mean embedding); it is
+computed once, exactly, and only the log-mean-exp term over Q is sampled.
+Both kernel parameterizations run the one feature-space loop, ``run_primal``:
+the Gram parameterization on the rows of a pivoted Cholesky factor of K.
 
 The stopping rule compares successive values of a moving average over the
 last ``CONVERGENCE_WINDOW`` = 10 minibatch values and requires the difference
@@ -24,6 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from .errors import InvalidInputError, NumericalFailureError
+from .kernels import pivoted_cholesky
 from .objective import DualWeights, PrimalWeights, dv_value_and_weights
 
 DEFAULT_NORM_BUDGET = 10.0
@@ -73,24 +75,17 @@ def _require_finite_norm(norm):
         raise NumericalFailureError("the weight norm is not finite after a gradient step; step_size is too large")
 
 
-def _rescale_dual(alpha, k_alpha, norm_budget):
-    """Rescale alpha and its product K alpha by one factor so alpha' K alpha <= norm_budget^2."""
-    q = float(alpha @ k_alpha)
-    if not q <= norm_budget**2:  # NaN too
-        _require_finite_norm(q)
-        scale = norm_budget / np.sqrt(q)
-        alpha = alpha * scale
-        k_alpha = k_alpha * scale
-    return alpha, k_alpha
-
-
 def project_dual(alpha, K, norm_budget):
     """Rescale alpha radially so alpha' K alpha <= norm_budget^2.
 
     Radial rescaling, not the exact metric projection; feasible inputs pass
     through unchanged.
     """
-    return _rescale_dual(alpha, K.entries @ alpha, norm_budget)[0]
+    q = float(alpha @ (K.entries @ alpha))
+    if not q <= norm_budget**2:  # NaN too
+        _require_finite_norm(q)
+        alpha = alpha * (norm_budget / np.sqrt(q))
+    return alpha
 
 
 def project_primal(beta, norm_budget):
@@ -100,15 +95,6 @@ def project_primal(beta, norm_budget):
         _require_finite_norm(nrm)
         beta = beta * (norm_budget / nrm)
     return beta
-
-
-def _q_rows(rng, m, minibatch):
-    """Minibatch indices into the m Q-samples, drawn with replacement.
-
-    ``None`` once the minibatch covers all m, so the step reuses the whole
-    arrays without copying.
-    """
-    return None if minibatch >= m else rng.integers(0, m, size=minibatch)
 
 
 def ascend(step, weights, cfg):
@@ -139,39 +125,12 @@ def ascend(step, weights, cfg):
     return weights, trace
 
 
-def run_dual(K, cfg):
-    """Optimize the Gram parameterization; returns (DualWeights, OptimizationTrace).
-
-    Initialization is alpha = 0 (feasible, divergence 0); deterministic given
-    cfg.seed.  Steps carry the state (alpha, K alpha): one product with K per
-    step serves the Q scores, the penalty gradient and the radial projection
-    of the next step.
-    """
-    n = K.n
-    mean_kx = K.entries[:n].mean(axis=0)
-
-    def step(state, rng):
-        alpha, k_alpha = state
-        iy = _q_rows(rng, K.m, cfg.minibatch)
-        rows = slice(n, None) if iy is None else n + iy
-        kl, w = dv_value_and_weights(float(mean_kx @ alpha), k_alpha[rows])
-        grad = K.entries[rows].T @ w - mean_kx
-        if cfg.penalty_weight:
-            grad = grad + 2.0 * cfg.penalty_weight * k_alpha
-        alpha = alpha - cfg.step_size * grad
-        return _rescale_dual(alpha, K.entries @ alpha, cfg.norm_budget), kl
-
-    # an overflowing step is reported by the projection, not by numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        (alpha, _), trace = ascend(step, (np.zeros(K.size), np.zeros(K.size)), cfg)
-    return DualWeights(alpha=alpha, norm_budget=cfg.norm_budget), trace
-
-
 def run_primal(mean_phi_x, PhiY, cfg):
     """Optimize the feature parameterization; per-step cost is O(minibatch * d).
 
     ``mean_phi_x`` is the mean feature vector of the P-samples (see
-    ``kernels.mean_feature_map``) and ``PhiY`` the m x d Q-sample features.
+    ``kernels.mean_feature_map``, or the P rows of a pivoted Cholesky factor)
+    and ``PhiY`` the m x d Q-sample features.
     """
     PhiY = np.asarray(PhiY)
     mean_phi_x = np.asarray(mean_phi_x)
@@ -180,10 +139,11 @@ def run_primal(mean_phi_x, PhiY, cfg):
     # beta matches the feature dtype so float32 inputs avoid per-step upcasts
     dtype = np.result_type(PhiY.dtype, np.float32)
     mean_phi_x = mean_phi_x.astype(dtype, copy=False)
+    m = PhiY.shape[0]
 
     def step(beta, rng):
-        iy = _q_rows(rng, PhiY.shape[0], cfg.minibatch)
-        Py = PhiY if iy is None else PhiY[iy]
+        # Q rows drawn with replacement; the whole array, uncopied, once the batch covers all m
+        Py = PhiY if cfg.minibatch >= m else PhiY[rng.integers(0, m, size=cfg.minibatch)]
         kl, w = dv_value_and_weights(float(mean_phi_x @ beta), Py @ beta)
         grad = Py.T @ w - mean_phi_x
         if cfg.penalty_weight:
@@ -194,3 +154,19 @@ def run_primal(mean_phi_x, PhiY, cfg):
     with np.errstate(over="ignore", invalid="ignore"):
         beta, trace = ascend(step, np.zeros(PhiY.shape[1], dtype=dtype), cfg)
     return PrimalWeights(beta=beta, norm_budget=cfg.norm_budget), trace
+
+
+def run_dual(K, cfg):
+    """Optimize the Gram parameterization; returns (DualWeights, OptimizationTrace).
+
+    ``run_primal`` on the exact-kernel features of the pivoted Cholesky
+    factor K = L L' (``kernels.pivoted_cholesky``): the witness on the
+    samples is L gamma, with RKHS norm ||gamma||.  alpha is nonzero only on
+    the pivots P, alpha_P = L_PP^-T gamma, so K alpha = L gamma and
+    alpha' K alpha = ||gamma||^2.  Deterministic given cfg.seed.
+    """
+    L, pivots = pivoted_cholesky(lambda i: K.entries[:, i], K.size, K.size)
+    weights, trace = run_primal(L[: K.n].mean(axis=0), L[K.n :], cfg)
+    alpha = np.zeros(K.size)
+    alpha[pivots] = np.linalg.solve(L[pivots].T, weights.beta)
+    return DualWeights(alpha=alpha, norm_budget=cfg.norm_budget), trace

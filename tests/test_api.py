@@ -42,6 +42,10 @@ def test_import_path_loads_no_scipy():
     # a fresh interpreter, so modules the test suite itself imports do not count
     src = os.path.dirname(os.path.dirname(os.path.abspath(kernelkl.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = "import sys, kernelkl, kernelkl.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    # scipy is not a dependency; the process pool is loaded only by run_benchmark(..., jobs > 1)
+    code = (
+        "import sys, kernelkl, kernelkl.cli; "
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy' or m == 'concurrent.futures.process'])"
+    )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"

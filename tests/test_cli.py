@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import kernelkl
-from kernelkl import EstimatorConfig, InvalidInputError
+from kernelkl import EstimatorConfig, GaussianPairSpec, InvalidInputError, sample_gaussian_pairs
 from kernelkl.cli import main
 from kernelkl.datasets import read_csv_dataset, resolve_columns, write_csv_dataset
 
@@ -270,14 +270,38 @@ class TestEstimateMi:
         assert out == ""
         assert "finite and positive" in err
 
-    def test_dual_beyond_gram_limit_exit_one(self, tmp_path, capsys):
+    @pytest.fixture
+    def pairs_5001(self, tmp_path):
         # 5001 joint rows plus 5001 permuted rows pool to 10002 > MAX_GRAM_ROWS
         path = tmp_path / "pairs.csv"
         write_csv_dataset(path, ["x", "y"], np.random.default_rng(6).normal(size=(5_001, 2)))
-        code, _, err = run_cli(capsys, "estimate-mi", "--data", str(path),
-                               "--x-cols", "x", "--y-cols", "y", "--mode", "dual")
+        return str(path)
+
+    def test_dual_beyond_gram_limit_runs(self, pairs_5001, capsys):
+        # the factor holds 10002 x (rank <= 1024) entries, not a Gram matrix
+        code, out, _ = run_cli(capsys, "estimate-mi", "--data", pairs_5001,
+                               "--x-cols", "x", "--y-cols", "y", "--mode", "dual", "--format", "json")
+        assert code == 0
+        assert np.isfinite(json.loads(out)["value"])
+
+    def test_dual_factor_beyond_limit_exit_one(self, pairs_5001, capsys):
+        # up to 10002 features over 10002 pooled rows: above MAX_GRAM_ROWS**2 entries
+        code, out, err = run_cli(capsys, "estimate-mi", "--data", pairs_5001,
+                                 "--x-cols", "x", "--y-cols", "y", "--mode", "dual", "--features", "20000")
         assert code == 1
-        assert "10002 x 10002" in err and "--mode primal" in err
+        assert out == ""
+        assert "10002 pooled samples" in err and "--mode primal" in err and "--features" in err
+
+    def test_dual_default_step_reports_nonnegative_mi(self, tmp_path, capsys):
+        # at the default step the old Gram-coefficient loop diverged here and
+        # reported about -3 nats as converged; the truth is 0.223
+        path = tmp_path / "pairs.csv"
+        spec = GaussianPairSpec(dimension=1, correlation=0.6, sample_count=300, seed=2)
+        write_csv_dataset(path, ["x1", "y1"], sample_gaussian_pairs(spec))
+        code, out, _ = run_cli(capsys, "estimate-mi", "--data", str(path),
+                               "--x-cols", "x1", "--y-cols", "y1", "--mode", "dual", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["value"] >= 0
 
 
 class TestBenchmarkCommand:

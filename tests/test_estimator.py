@@ -13,7 +13,9 @@ from kernelkl import (
     estimate_mi,
     sample_gaussian_pairs,
 )
-from kernelkl.estimator import derive_seed, joint_and_product, split_pairs
+from kernelkl.estimator import _OPTIMIZER_TAG, derive_seed, joint_and_product, split_pairs
+from kernelkl.kernels import KernelSpec, build_gram
+from kernelkl.optimize import run_dual
 
 
 def gaussian_sets(n, shift=0.0, scale=1.0, seed=0):
@@ -61,10 +63,41 @@ class TestEstimateKl:
 
     def test_dual_mode_mean_shift(self):
         X, Y = gaussian_sets(200, shift=1.0, seed=4)
-        # the dual gradient scales with Gram row norms, so the step shrinks with n + m
+        # a smaller step than the default, run for longer
         cfg = EstimatorConfig(mode="dual", optimizer=OptimizerConfig(step_size=0.05, max_iter=1000, seed=4))
         result = estimate_kl(X, Y, cfg)
         assert result.kl_estimate == pytest.approx(0.5, abs=0.25)
+
+    @pytest.mark.parametrize("minibatch", [16, 512])
+    def test_dual_trace_equals_run_dual_on_the_gram_matrix(self, minibatch):
+        # kernel columns computed on demand and columns of build_gram give the
+        # same factor, so the two runs agree bit for bit
+        rng = np.random.default_rng(12)
+        X, Y = rng.normal(size=(60, 2)), rng.normal(loc=0.5, size=(45, 2))
+        cfg = EstimatorConfig(mode="dual", optimizer=OptimizerConfig(max_iter=150, minibatch=minibatch, seed=7))
+        result = estimate_kl(X, Y, cfg)
+        K = build_gram(X, Y, KernelSpec(result.bandwidth))
+        _, trace = run_dual(K, cfg.optimizer.with_seed(derive_seed(7, _OPTIMIZER_TAG)))
+        assert np.array_equal(result.trace.kl_values, trace.kl_values)
+        assert result.kl_estimate == trace.estimate
+
+    def test_dual_refuses_oversized_factor_before_allocating(self):
+        # 10002 pooled rows x 10002 features is above MAX_GRAM_ROWS**2 entries
+        X, Y = gaussian_sets(5_001, seed=13)
+        cfg = EstimatorConfig(mode="dual", feature_dim=20_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidInputError, match="--features"):
+                estimate_kl(X, Y, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000_000
+
+    @pytest.mark.parametrize("mode", ["primal", "dual"])
+    def test_feature_dim_must_be_positive(self, mode):
+        with pytest.raises(InvalidInputError, match="feature_dim must be >= 1"):
+            EstimatorConfig(mode=mode, feature_dim=0)
 
     def test_explicit_bandwidth_respected(self):
         X, Y = gaussian_sets(100, shift=1.0, seed=5)

@@ -8,15 +8,18 @@ from scipy.spatial.distance import cdist, pdist
 
 from kernelkl import InvalidInputError
 from kernelkl.kernels import (
+    CHOLESKY_TOL,
     DISTANCE_BLOCK_ROWS,
     MAX_GRAM_ROWS,
     MEAN_CHUNK_ROWS,
     KernelSpec,
     apply_feature_map,
     build_gram,
+    kernel_values,
     mean_feature_map,
     median_heuristic_bandwidth,
     pair_sq_distances,
+    pivoted_cholesky,
     rbf_kernel,
     sample_feature_map,
     sq_distances,
@@ -163,6 +166,57 @@ class TestBuildGram:
         matrix_bytes = K.size**2 * 8
         # no second (n+m)^2 array: the only scratch is DISTANCE_BLOCK_ROWS rows
         assert peak <= 1.1 * matrix_bytes
+
+
+class TestPivotedCholesky:
+    @staticmethod
+    def factor(K, max_rank=None):
+        return pivoted_cholesky(lambda i: K.entries[:, i], K.size, max_rank or K.size)
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_reproduces_gram_within_tolerance(self, dim):
+        rng = np.random.default_rng(dim)
+        X = with_coincident_rows(rng, 70, dim)
+        Y = np.vstack([X[:3], rng.normal(size=(47, dim))])
+        K = build_gram(X, Y, KernelSpec(0.5 * np.sqrt(dim)))
+        L, pivots = self.factor(K)
+        assert np.abs(K.entries - L @ L.T).max() <= CHOLESKY_TOL
+        # the pivot columns are reproduced up to rounding, not just to the tolerance
+        np.testing.assert_allclose(K.entries[:, pivots], L @ L[pivots].T, rtol=0, atol=1e-12)
+        assert np.linalg.norm(L, axis=1).max() <= 1 + 1e-12
+        assert np.array_equal(np.tril(L[pivots]), L[pivots])
+        assert len(set(pivots.tolist())) == len(pivots) == L.shape[1]
+
+    def test_coincident_points_rank_one(self):
+        Z = np.zeros((5, 2))
+        L, pivots = self.factor(build_gram(Z, Z, KernelSpec(1.0)))
+        assert L.shape == (10, 1) and pivots.tolist() == [0]
+        assert np.array_equal(L, np.ones((10, 1)))
+
+    def test_max_rank_caps_columns(self):
+        rng = np.random.default_rng(3)
+        K = build_gram(rng.normal(size=(30, 2)), rng.normal(size=(30, 2)), KernelSpec(0.3))
+        L, pivots = self.factor(K, max_rank=4)
+        assert L.shape == (60, 4) and len(pivots) == 4
+        assert np.abs(K.entries - L @ L.T).max() > CHOLESKY_TOL
+
+    def test_kernel_value_columns_equal_gram_columns(self):
+        rng = np.random.default_rng(4)
+        X, Y = with_coincident_rows(rng, 40, 3), rng.normal(size=(30, 3))
+        spec = KernelSpec(1.1)
+        K = build_gram(X, Y, spec)
+        Z = np.vstack([X, Y])
+        for i in (0, 1, 39, 69):
+            assert np.array_equal(kernel_values(Z, Z[i : i + 1], spec)[:, 0], K.entries[:, i])
+
+    def test_oversized_factor_refused_before_any_column(self):
+        def column(i):
+            raise AssertionError("no column may be computed")
+
+        size = 2 * 5_001
+        with pytest.raises(InvalidInputError, match=r"10002 pooled samples.*--mode primal.*--features"):
+            pivoted_cholesky(column, size, 20_000)
+        assert size * size > MAX_GRAM_ROWS**2 >= size * 1024
 
 
 class TestMeanFeatureMap:

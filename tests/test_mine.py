@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from kernelkl import InvalidInputError, MineConfig, OptimizerConfig, mine_estimate
+from kernelkl import InvalidInputError, MineConfig, NumericalFailureError, OptimizerConfig, mine_estimate
 from kernelkl.mine import (
     dv_objective_and_gradient,
     init_params,
@@ -144,3 +146,12 @@ class TestMineEstimate:
         X[2, 0] = np.nan
         with pytest.raises(InvalidInputError, match="non-finite"):
             mine_estimate(X, np.zeros((5, 1)))
+
+    def test_overflowing_step_is_a_numerical_failure_without_numpy_warnings(self):
+        rng = np.random.default_rng(12)
+        X, Y = rng.normal(size=(200, 1)), rng.normal(loc=1.0, size=(200, 1))
+        cfg = MineConfig(optimizer=OptimizerConfig(step_size=1e308, max_iter=5, penalty_weight=0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailureError, match="non-finite objective"):
+                mine_estimate(X, Y, cfg)

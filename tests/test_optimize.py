@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kernelkl import InvalidInputError, NumericalFailureError, OptimizerConfig
-from kernelkl.kernels import KernelSpec, apply_feature_map, build_gram, sample_feature_map
+from kernelkl.kernels import KernelSpec, apply_feature_map, build_gram, pivoted_cholesky, sample_feature_map
 from kernelkl.objective import dual_gradient, dual_objective, primal_gradient
 from kernelkl.optimize import CONVERGENCE_WINDOW, ascend, project_dual, project_primal, run_dual, run_primal
 
@@ -198,6 +198,19 @@ class TestRunDual:
         grad = dual_gradient(weights.alpha, K, penalty_weight=cfg.penalty_weight)
         assert np.linalg.norm(grad) <= 1e-4
 
+    @pytest.mark.parametrize("minibatch", [8, 512])
+    def test_alpha_reproduces_the_feature_witness(self, minibatch):
+        X, Y, K = small_problem(seed=15)
+        cfg = OptimizerConfig(max_iter=100, minibatch=minibatch, seed=3)
+        weights, trace = run_dual(K, cfg)
+        L, pivots = pivoted_cholesky(lambda i: K.entries[:, i], K.size, K.size)
+        primal, primal_trace = run_primal(L[: K.n].mean(axis=0), L[K.n :], cfg)
+        gamma, alpha = primal.beta, weights.alpha
+        assert np.array_equal(trace.kl_values, primal_trace.kl_values)
+        assert np.count_nonzero(alpha) <= len(pivots)
+        np.testing.assert_allclose(K.entries @ alpha, L @ gamma, rtol=0, atol=1e-9)
+        assert alpha @ K.entries @ alpha == pytest.approx(gamma @ gamma, abs=1e-9)
+
     def test_trace_shape(self):
         X, Y, K = small_problem(seed=13)
         _, trace = run_dual(K, OptimizerConfig(step_size=0.1, max_iter=40))
@@ -243,8 +256,7 @@ class TestRunPrimal:
         X = rng.normal(size=(250, 1))
         Y = rng.normal(loc=1.0, size=(250, 1))
         K = build_gram(X, Y, KernelSpec(1.0))
-        # the dual gradient scales with the Gram row norms, so its stable step
-        # size shrinks with n + m; the primal step does not
+        # the dual side runs a smaller step for longer than the primal side
         _, dual_trace = run_dual(K, OptimizerConfig(step_size=0.05, max_iter=2000, seed=2))
         PhiX, PhiY = self.features(X, Y, d=2048, seed=3)
         _, primal_trace = run_primal(PhiX.mean(axis=0), PhiY, OptimizerConfig(step_size=0.5, max_iter=2000, seed=2))
