@@ -9,7 +9,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from .datasets import read_csv_dataset, resolve_columns, write_csv_dataset
 from .errors import InvalidInputError, NumericalFailureError
 from .estimator import EstimatorConfig, estimate_kl, estimate_mi
 from .fairness import AuditTable, audit
+from .mine import MineConfig
 from .optimize import OptimizerConfig
 from .synthetic import GaussianPairSpec, sample_gaussian_pairs
 
@@ -36,11 +37,12 @@ def _add_estimator_flags(parser):
         help="number of random Fourier features (primal), or the most pivoted-Cholesky features (dual)",
     )
     parser.add_argument("--bandwidth", default="median", help="kernel length scale, or 'median'")
-    parser.add_argument("--budget", type=float, default=opt.norm_budget, help="norm budget M")
-    parser.add_argument("--step", type=float, default=opt.step_size, help="SGD step size")
-    parser.add_argument("--max-iter", type=int, default=opt.max_iter)
-    parser.add_argument("--gamma", type=float, default=opt.gamma, help="convergence tolerance")
-    parser.add_argument("--batch", type=int, default=opt.minibatch, help="minibatch size")
+    # unset optimizer flags stay None, so each estimator keeps its own defaults
+    parser.add_argument("--budget", type=float, help="norm budget M")
+    parser.add_argument("--step", type=float, help="SGD step size")
+    parser.add_argument("--max-iter", type=int)
+    parser.add_argument("--gamma", type=float, help="convergence tolerance")
+    parser.add_argument("--batch", type=int, help="minibatch size")
     parser.add_argument("--seed", type=int, default=opt.seed)
     parser.add_argument("--bits", action="store_true", help="display values in bits instead of nats")
 
@@ -69,15 +71,14 @@ def _estimator_config(args):
             bandwidth = float(args.bandwidth)
         except ValueError:
             raise InvalidInputError(f"--bandwidth must be a number or 'median', got {args.bandwidth!r}") from None
-    opt = OptimizerConfig(
-        step_size=args.step,
-        max_iter=args.max_iter,
-        gamma=args.gamma,
-        minibatch=args.batch,
-        norm_budget=args.budget,
-        seed=args.seed,
-    )
+    opt = OptimizerConfig(seed=args.seed, **_optimizer_flags(args))
     return EstimatorConfig(bandwidth=bandwidth, mode=args.mode, feature_dim=args.features, optimizer=opt)
+
+
+def _optimizer_flags(args):
+    """The OptimizerConfig fields the user set by flag."""
+    fields = {"step": "step_size", "max_iter": "max_iter", "gamma": "gamma", "batch": "minibatch", "budget": "norm_budget"}
+    return {field: getattr(args, flag) for flag, field in fields.items() if getattr(args, flag) is not None}
 
 
 def _display(value, bits):
@@ -145,6 +146,8 @@ def cmd_benchmark(args):
         sample_count=args.n,
         trials=args.trials,
         kkle_config=_estimator_config(args),
+        # MINE's network has no norm ball, so --budget changes nothing there
+        mine_config=MineConfig(optimizer=replace(MineConfig().optimizer, **_optimizer_flags(args))),
         seed=args.seed,
     )
     report = run_benchmark(cfg, jobs=args.jobs)
@@ -220,7 +223,13 @@ def build_parser():
     _add_output_flags(p_mi)
     p_mi.set_defaults(func=cmd_estimate_mi)
 
-    p_bench = sub.add_parser("benchmark", help="bias/RMSE/variance grid over correlated-Gaussian tasks")
+    p_bench = sub.add_parser(
+        "benchmark",
+        help="bias/RMSE/variance grid over correlated-Gaussian tasks",
+        description="--step, --max-iter, --gamma and --batch set both estimators' optimizers; an unset one "
+        "keeps each estimator's default (MINE: step 0.2, no penalty).  --budget and the kernel flags "
+        "(--mode, --features, --bandwidth) apply to the kernel estimator only.",
+    )
     p_bench.add_argument("--estimators", type=_list_of(str.strip), default=("kkle", "mine"))
     p_bench.add_argument("--dims", type=_list_of(int), default=(1,))
     p_bench.add_argument("--rhos", type=_list_of(float), default=(0.2, 0.5, 0.9))

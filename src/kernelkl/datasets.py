@@ -5,6 +5,7 @@ names followed by rectangular numeric rows.
 """
 
 import csv
+import warnings
 
 import numpy as np
 
@@ -12,13 +13,25 @@ from .errors import InvalidInputError
 
 
 def read_csv_dataset(path):
-    """Read (column_names, n x C float array); errors cite the offending row."""
+    """Read (column_names, n x C float array); errors cite the offending row.
+
+    The rows are parsed in one ``np.loadtxt`` pass, which reads each cell as
+    ``float()`` does.  Where it raises or could read the file otherwise (a
+    quoted or ``1_000`` cell, a blank line, a non-finite value), the file is
+    parsed again with the csv module, cell by cell where needed, so that an
+    error names the row and column.
+    """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            rows = list(reader)
+            header = next(csv.reader(fh), [])
+            data = _load_rows(fh, len(header)) if header else None
+            if data is None:
+                fh.seek(0)
+                rows = list(csv.reader(fh))
     except OSError as exc:
         raise InvalidInputError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    if data is not None:
+        return header, data
     if not rows:
         raise InvalidInputError(f"{path}: empty file")
     header = rows[0]
@@ -33,6 +46,29 @@ def read_csv_dataset(path):
     if data is None or not np.all(np.isfinite(data)):
         data = _parse_cells(path, header, rows)
     return header, data
+
+
+def _load_rows(lines, ncols):
+    """The remaining lines as an n x ncols array, or None where the csv reading might differ."""
+    count = 0
+
+    def counted():
+        nonlocal count
+        for line in lines:
+            count += 1
+            yield line
+
+    try:
+        with warnings.catch_warnings():
+            # a header-only file: "input contained no data"
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(counted(), delimiter=",", ndmin=2, comments=None)
+    except ValueError:
+        return None
+    # loadtxt skips blank lines, which the csv reader reports as rows of no cells
+    if data.shape != (count, ncols) or not np.all(np.isfinite(data)):
+        return None
+    return data
 
 
 def _parse_cells(path, header, rows):

@@ -4,9 +4,12 @@ The feature map follows Rahimi-Recht: phi_i(x) = sqrt(2/d) * cos(w_i . x + b_i)
 with w_i ~ N(0, sigma^-2 I) and b_i ~ U[0, 2pi), so that phi(x) . phi(y)
 approximates exp(-||x - y||^2 / (2 sigma^2)).  Replacing the (n+m)^2 Gram
 matrix with (n+m) x d features drops the per-step optimization cost from
-quadratic to linear in the pooled sample count.  The rows of a pivoted
-Cholesky factor K ~= L L' are exact-kernel features of the pooled samples,
-built from kernel columns on demand without forming K.
+quadratic to linear in the pooled sample count.  A feature row is a fixed
+function of its sample, so an n x d feature matrix need never be stored:
+``FeatureRows`` maps the rows it is indexed with, and ``mean_feature_map``
+reads its chunks through it.  The rows of a pivoted Cholesky factor
+K ~= L L' are exact-kernel features of the pooled samples, built from kernel
+columns on demand without forming K.
 
 Pairwise distances (the median-heuristic bandwidth and the Gram matrix) are
 computed in numpy, one coordinate at a time in coordinate order as
@@ -15,6 +18,8 @@ the results are bit-identical to scipy's ``pdist``/``cdist``, without the
 cost of importing scipy.
 """
 
+import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +27,9 @@ import numpy as np
 from .errors import InvalidInputError
 
 DEFAULT_FEATURE_DIM = 1024
-#: Rows mapped at a time by ``mean_feature_map``: 16 MB per chunk at d = 1024 in float32.
-MEAN_CHUNK_ROWS = 4096
+#: Rows mapped at a time by ``mean_feature_map``: 2 MB per chunk at d = 1024 in
+#: float32, about one L2 cache, the size of a default streamed Q minibatch.
+MEAN_CHUNK_ROWS = 512
 #: Largest pooled sample count ``build_gram`` accepts.  The float64 Gram matrix
 #: is then 0.8 GB; building it holds that one copy plus one block of rows.
 #: ``pivoted_cholesky`` keeps its factor within the same MAX_GRAM_ROWS**2 entries.
@@ -263,11 +269,25 @@ def sample_feature_map(input_dim, feature_dim, spec, seed=0):
     return FeatureMap(frequencies=frequencies, offsets=offsets)
 
 
-def apply_feature_map(fm, x, dtype=float):
+def mapped_empty(shape, dtype):
+    """An uninitialised array in an anonymous memory map of its own, outside the C heap.
+
+    Freeing it unmaps it at once.  glibc, freeing a malloc'd array of up to
+    32 MiB, raises its mmap threshold, puts later arrays of that size on the
+    heap and keeps the heap resident: over twelve 10k-row fairness audits,
+    whose Q feature matrices are 16-41 MB, peak RSS grew from 79 to 103 MiB
+    with malloc'd matrices and stayed at 79 MiB with mapped ones.
+    """
+    dtype = np.dtype(dtype)
+    return np.frombuffer(mmap.mmap(-1, math.prod(shape) * dtype.itemsize), dtype=dtype).reshape(shape)
+
+
+def apply_feature_map(fm, x, dtype=float, out=None):
     """Map one D-vector (or an n x D matrix, row-wise) into feature space.
 
     ``dtype=np.float32`` computes the projection in single precision, which
-    roughly halves the cost for large sample matrices.
+    roughly halves the cost for large sample matrices.  ``out``, an n x d
+    array of that dtype, receives the features of a matrix.
     """
     x = np.asarray(x, dtype=dtype)
     single = x.ndim == 1
@@ -275,11 +295,34 @@ def apply_feature_map(fm, x, dtype=float):
         x = x[None, :]
     if x.ndim != 2 or x.shape[1] != fm.input_dim:
         raise InvalidInputError(f"input dimension {x.shape} does not match feature map ({fm.input_dim})")
-    proj = x @ fm.frequencies.T.astype(dtype)
+    proj = np.matmul(x, fm.frequencies.T.astype(dtype), out=out)
     proj += fm.offsets.astype(dtype)
     np.cos(proj, out=proj)
-    proj *= np.sqrt(2.0 / fm.dim)
+    # a scalar of the array's own dtype: a float64 one would run a float32
+    # array's product in float64 and cast it back (NEP 50)
+    proj *= proj.dtype.type(np.sqrt(2.0 / fm.dim))
     return proj[0] if single else proj
+
+
+class FeatureRows:
+    """The rows of ``apply_feature_map(fm, samples, dtype)``, mapped when indexed.
+
+    ``rows[idx]`` is ``apply_feature_map(fm, samples[idx], dtype)`` and holds
+    only the rows asked for.  It has the bits of the same rows of the stored
+    n x d matrix wherever BLAS computes each row of a product alike whatever
+    the number of rows: on OpenBLAS, at d = 1024 for two or more rows.  A
+    single row (a matrix-vector product) or a small product (such as d = 16
+    with D = 50) may round differently in the last bit.
+    """
+
+    def __init__(self, fm, samples, dtype=float):
+        self.fm = fm
+        self.samples = samples
+        self.dtype = np.dtype(dtype)
+        self.shape = (samples.shape[0], fm.dim)
+
+    def __getitem__(self, idx):
+        return apply_feature_map(self.fm, self.samples[idx], self.dtype)
 
 
 def mean_feature_map(fm, X, dtype=float):
@@ -291,8 +334,8 @@ def mean_feature_map(fm, X, dtype=float):
     X = np.asarray(X)
     if X.ndim != 2 or X.shape[0] == 0:
         raise InvalidInputError("X must be a nonempty n x D sample matrix")
+    rows = FeatureRows(fm, X, dtype)
     total = np.zeros(fm.dim)
     for start in range(0, X.shape[0], MEAN_CHUNK_ROWS):
-        chunk = apply_feature_map(fm, X[start : start + MEAN_CHUNK_ROWS], dtype=dtype)
-        total += chunk.sum(axis=0, dtype=np.float64)
+        total += rows[start : start + MEAN_CHUNK_ROWS].sum(axis=0, dtype=np.float64)
     return (total / X.shape[0]).astype(dtype)

@@ -10,7 +10,9 @@ kernel witness is linear in its feature weights, so the P term of the bound
 is the weights dotted with the P-side mean (the kernel mean embedding); it is
 computed once, exactly, and only the log-mean-exp term over Q is sampled.
 Both kernel parameterizations run the one feature-space loop, ``run_primal``:
-the Gram parameterization on the rows of a pivoted Cholesky factor of K.
+the Gram parameterization on the rows of a pivoted Cholesky factor of K.  Its
+Q features may be stored or mapped from the samples minibatch by minibatch
+(``kernels.FeatureRows``); both take the same draws from the generator.
 
 The stopping rule compares successive values of a moving average over the
 last ``CONVERGENCE_WINDOW`` = 10 minibatch values and requires the difference
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from .errors import InvalidInputError, NumericalFailureError
-from .kernels import pivoted_cholesky
+from .kernels import FeatureRows, pivoted_cholesky
 from .objective import DualWeights, PrimalWeights, dv_value_and_weights
 
 DEFAULT_NORM_BUDGET = 10.0
@@ -130,19 +132,26 @@ def run_primal(mean_phi_x, PhiY, cfg):
 
     ``mean_phi_x`` is the mean feature vector of the P-samples (see
     ``kernels.mean_feature_map``, or the P rows of a pivoted Cholesky factor)
-    and ``PhiY`` the m x d Q-sample features.
+    and ``PhiY`` the m x d Q-sample features: a stored array, or a
+    ``kernels.FeatureRows`` that maps each minibatch from the samples when it
+    is drawn.  Both are indexed with the same draws, so both give the same
+    bits wherever ``FeatureRows`` reproduces the stored rows (see there); a
+    full batch maps a ``FeatureRows`` once, before the first step.
     """
-    PhiY = np.asarray(PhiY)
+    if not isinstance(PhiY, FeatureRows):
+        PhiY = np.asarray(PhiY)
     mean_phi_x = np.asarray(mean_phi_x)
-    if PhiY.ndim != 2 or mean_phi_x.shape != PhiY.shape[1:]:
+    if len(PhiY.shape) != 2 or mean_phi_x.shape != PhiY.shape[1:]:
         raise InvalidInputError("mean_phi_x must be a d-vector matching the columns of the m x d PhiY")
     # beta matches the feature dtype so float32 inputs avoid per-step upcasts
     dtype = np.result_type(PhiY.dtype, np.float32)
     mean_phi_x = mean_phi_x.astype(dtype, copy=False)
     m = PhiY.shape[0]
+    if cfg.minibatch >= m:
+        PhiY = PhiY[:]  # every step uses every row: a FeatureRows is mapped once, an array viewed
 
     def step(beta, rng):
-        # Q rows drawn with replacement; the whole array, uncopied, once the batch covers all m
+        # Q rows drawn with replacement; every row, uncopied, once the batch covers all m
         Py = PhiY if cfg.minibatch >= m else PhiY[rng.integers(0, m, size=cfg.minibatch)]
         kl, w = dv_value_and_weights(float(mean_phi_x @ beta), Py @ beta)
         grad = Py.T @ w - mean_phi_x

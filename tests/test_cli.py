@@ -1,13 +1,23 @@
+import csv
 import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 import kernelkl
-from kernelkl import EstimatorConfig, GaussianPairSpec, InvalidInputError, sample_gaussian_pairs
+from kernelkl import (
+    BenchmarkConfig,
+    EstimatorConfig,
+    GaussianPairSpec,
+    InvalidInputError,
+    MineConfig,
+    run_benchmark,
+    sample_gaussian_pairs,
+)
 from kernelkl.cli import main
 from kernelkl.datasets import read_csv_dataset, resolve_columns, write_csv_dataset
 
@@ -71,13 +81,44 @@ class TestDatasets:
             read_csv_dataset(str(path))
 
     @pytest.mark.parametrize("cell", ["0.1", "-0.0", "1e-310", " 2.5 ", "1_000", ".5", "5.", "1E5",
-                                      "0.30000000000000004", "123456789012345678901234567890"])
+                                      "0.30000000000000004", "123456789012345678901234567890",
+                                      "\t-3.25\t", "+7", "1e-400", '"1.5"', '" 2.5e3 "'])
     def test_cell_parses_as_float(self, tmp_path, cell):
+        # the float() of the cell as the csv module unquotes it
         path = tmp_path / "cells.csv"
         path.write_text(f"a,b\n{cell},1\n1,{cell}\n")
         _, data = read_csv_dataset(str(path))
-        expected = np.array([[float(cell), 1.0], [1.0, float(cell)]])
+        value = next(csv.reader([cell]))[0]
+        expected = np.array([[float(value), 1.0], [1.0, float(value)]])
         assert data.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("body, message", [
+        ("1,2\n#3,4\n", r"row 3, column 'a': cannot parse '#3'"),
+        ("1,2\n3,4 # note\n", r"row 3, column 'b': cannot parse '4 # note'"),
+        ("1,2\n\n3,4\n", r"row 3 has 0 cells, expected 2"),
+        ("1,2\n3,4\n\n", r"row 4 has 0 cells, expected 2"),
+        ("1,2,3\n4,5,6\n", r"row 2 has 3 cells, expected 2"),
+        ("1,2\n3,nan\n", r"row 3, column 'b': non-finite value"),
+    ])
+    def test_comment_blank_and_wide_rows_cite_the_row(self, tmp_path, body, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("a,b\n" + body)
+        with pytest.raises(InvalidInputError, match=message):
+            read_csv_dataset(str(path))
+
+    @pytest.mark.parametrize("text", ["a,b\n", "a,b", "a\n"])
+    def test_header_only_file_has_no_rows(self, tmp_path, text):
+        path = tmp_path / "header.csv"
+        path.write_text(text)
+        header, data = read_csv_dataset(str(path))
+        assert data.shape == (0, len(header)) and data.dtype == np.float64
+
+    def test_crlf_lines_and_unquoted_header(self, tmp_path):
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(b'"x 1",y\r\n0.5,-1e3\r\n2,3')
+        header, data = read_csv_dataset(str(path))
+        assert header == ["x 1", "y"]
+        assert data.tolist() == [[0.5, -1000.0], [2.0, 3.0]]
 
     def test_non_finite_cell_cites_row_and_column(self, tmp_path):
         path = tmp_path / "inf.csv"
@@ -270,6 +311,27 @@ class TestEstimateMi:
         assert out == ""
         assert "finite and positive" in err
 
+    def test_100k_rows_peak_rss_without_a_q_feature_matrix(self, tmp_path):
+        # the 100k x 1024 float32 Q features (410 MB) are streamed per minibatch;
+        # os.wait4 reads this child's own peak RSS, in KiB on Linux
+        path = tmp_path / "pairs.csv"
+        spec = GaussianPairSpec(dimension=1, correlation=0.9, sample_count=100_000, seed=4)
+        write_csv_dataset(path, ["x1", "y1"], sample_gaussian_pairs(spec))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(kernelkl.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(s for s in (src, os.environ.get("PYTHONPATH")) if s))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "kernelkl", "estimate-mi", "--data", str(path),
+             "--x-cols", "x1", "--y-cols", "y1", "--format", "json"],
+            env=env, stdout=subprocess.PIPE,
+        )
+        with proc.stdout:
+            out = proc.stdout.read()
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        assert proc.returncode == 0
+        assert np.isfinite(json.loads(out)["value"])
+        assert usage.ru_maxrss < 150 * 1024
+
     @pytest.fixture
     def pairs_5001(self, tmp_path):
         # 5001 joint rows plus 5001 permuted rows pool to 10002 > MAX_GRAM_ROWS
@@ -334,6 +396,39 @@ class TestBenchmarkCommand:
     def test_table_to_stdout(self, capsys):
         code = main(self.ARGS + ["--format", "table"])
         assert code == 0
+
+    MINE = ["benchmark", "--estimators", "mine", "--dims", "1", "--rhos", "0.5",
+            "--n", "100", "--trials", "2", "--jobs", "1", "--format", "json"]
+
+    def mine_row(self, capsys, *flags):
+        code, out, _ = run_cli(capsys, *self.MINE, *flags)
+        assert code == 0
+        (row,) = json.loads(out)["rows"]
+        return row
+
+    @staticmethod
+    def library_mine_row(**optimizer):
+        mine = MineConfig(optimizer=replace(MineConfig().optimizer, **optimizer))
+        cfg = BenchmarkConfig(estimators=("mine",), rhos=(0.5,), sample_count=100, trials=2, mine_config=mine)
+        return asdict(run_benchmark(cfg).rows[0])
+
+    def test_mine_rows_take_the_optimizer_flags(self, capsys):
+        row = self.mine_row(capsys, "--max-iter", "30", "--batch", "64", "--step", "0.1", "--gamma", "1e-3")
+        expected = self.library_mine_row(max_iter=30, minibatch=64, step_size=0.1, gamma=1e-3)
+        for row_ in (row, expected):
+            row_.pop("mean_runtime_seconds")
+        assert row == expected
+
+    def test_mine_rows_keep_mine_defaults_when_no_flag_is_set(self, capsys):
+        row, expected = self.mine_row(capsys), self.library_mine_row()
+        for row_ in (row, expected):
+            row_.pop("mean_runtime_seconds")
+        assert row == expected
+
+    def test_mine_rows_fail_at_an_overflowing_step(self, capsys):
+        # the step used to reach only the kernel rows: MINE reported an ordinary row
+        row = self.mine_row(capsys, "--step", "1e308", "--max-iter", "5")
+        assert row["failures"] == 2 and row["failed"]
 
     def test_unknown_estimator_exit_one(self, capsys):
         code, _, err = run_cli(capsys, "benchmark", "--estimators", "magic",

@@ -13,8 +13,9 @@ from kernelkl import (
     estimate_mi,
     sample_gaussian_pairs,
 )
+from kernelkl import estimator
 from kernelkl.estimator import _OPTIMIZER_TAG, derive_seed, joint_and_product, split_pairs
-from kernelkl.kernels import KernelSpec, build_gram
+from kernelkl.kernels import FeatureRows, KernelSpec, build_gram
 from kernelkl.optimize import run_dual
 
 
@@ -139,8 +140,9 @@ class TestEstimateKl:
             estimate_kl(np.zeros((5, 1)), Y)
 
     def test_primal_peak_memory_is_one_feature_matrix(self):
-        # P enters through its streamed mean embedding, so only the Q-side
-        # n x d float32 matrix is ever held (numpy reports its buffers to tracemalloc)
+        # P enters through its streamed mean embedding, so no P-side n x d matrix
+        # is held (numpy reports its buffers to tracemalloc; the stored Q-side
+        # matrix is an anonymous memory map, which it does not see)
         n, d = 20_000, 1024
         X, Y = gaussian_sets(n, shift=0.5, seed=9)
         cfg = EstimatorConfig(feature_dim=d, optimizer=OptimizerConfig(max_iter=20, seed=9))
@@ -151,6 +153,63 @@ class TestEstimateKl:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * n * d * 4
+
+
+class TestStoredOrStreamedQ:
+    """Q features are stored when small or full batch, else mapped per minibatch."""
+
+    class Captured(Exception):
+        pass
+
+    def q_argument(self, monkeypatch, m, feature_dim, minibatch):
+        def spy(mean_phi_x, PhiY, cfg):
+            raise self.Captured(PhiY)
+
+        monkeypatch.setattr(estimator, "run_primal", spy)
+        X, Y = gaussian_sets(m, seed=1)
+        with pytest.raises(self.Captured) as caught:
+            estimate_kl(X, Y, EstimatorConfig(feature_dim=feature_dim, optimizer=OptimizerConfig(minibatch=minibatch)))
+        return caught.value.args[0]
+
+    @pytest.mark.parametrize("m, minibatch, streamed", [(100, 16, False), (101, 16, True), (101, 101, False)])
+    def test_rule(self, monkeypatch, m, minibatch, streamed):
+        # 100 rows x 16 float32 features fill the cap exactly
+        monkeypatch.setattr(estimator, "MAX_STORED_FEATURE_BYTES", 100 * 16 * 4)
+        PhiY = self.q_argument(monkeypatch, m, 16, minibatch)
+        assert isinstance(PhiY, FeatureRows) == streamed
+        assert PhiY.shape == (m, 16) and PhiY.dtype == np.float32
+
+    def test_cap_placement(self):
+        # the 10k-row benchmark audit and the 20k memory test above store their
+        # Q features at the default d; the 100k-row CLI run streams them
+        row_bytes = 1024 * 4
+        assert 20_000 * row_bytes <= estimator.MAX_STORED_FEATURE_BYTES < 100_000 * row_bytes
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_streamed_estimate_is_the_stored_one(self, monkeypatch, seed):
+        X, Y = gaussian_sets(4_000, shift=0.8, seed=seed)
+        cfg = EstimatorConfig(optimizer=OptimizerConfig(max_iter=100, minibatch=256, seed=seed))
+        stored = estimate_kl(X, Y, cfg)
+        monkeypatch.setattr(estimator, "MAX_STORED_FEATURE_BYTES", 0)
+        streamed = estimate_kl(X, Y, cfg)
+        assert stored.kl_estimate == streamed.kl_estimate
+        assert stored.trace.kl_values.tobytes() == streamed.trace.kl_values.tobytes()
+        assert (stored.iterations, stored.converged) == (streamed.iterations, streamed.converged)
+
+    def test_streamed_peak_memory_is_a_tenth_of_the_matrix(self, monkeypatch):
+        # the peak is the ~8 MB of the bandwidth's pairwise distances, then one
+        # 2 MB minibatch or chunk of features, not the 200 MB Q matrix
+        n, d = 50_000, 1024
+        X, Y = gaussian_sets(n, shift=0.5, seed=9)
+        cfg = EstimatorConfig(feature_dim=d, optimizer=OptimizerConfig(max_iter=20, seed=9))
+        monkeypatch.setattr(estimator, "MAX_STORED_FEATURE_BYTES", 0)
+        tracemalloc.start()
+        try:
+            estimate_kl(X, Y, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * n * d * 4
 
 
 class TestSplitPairs:

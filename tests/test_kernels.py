@@ -12,10 +12,12 @@ from kernelkl.kernels import (
     DISTANCE_BLOCK_ROWS,
     MAX_GRAM_ROWS,
     MEAN_CHUNK_ROWS,
+    FeatureRows,
     KernelSpec,
     apply_feature_map,
     build_gram,
     kernel_values,
+    mapped_empty,
     mean_feature_map,
     median_heuristic_bandwidth,
     pair_sq_distances,
@@ -220,7 +222,8 @@ class TestPivotedCholesky:
 
 
 class TestMeanFeatureMap:
-    @pytest.mark.parametrize("n", [100, MEAN_CHUNK_ROWS, MEAN_CHUNK_ROWS + 1])
+    # part of a chunk, one chunk, a chunk and a row, several chunks with and without a row more
+    @pytest.mark.parametrize("n", [100, MEAN_CHUNK_ROWS, MEAN_CHUNK_ROWS + 1, 4096, 4097])
     def test_matches_materialised_mean(self, n):
         fm = sample_feature_map(2, 64, KernelSpec(0.7), seed=1)
         X = np.random.default_rng(n).normal(size=(n, 2))
@@ -305,6 +308,56 @@ class TestFeatureMap:
             sample_feature_map(0, 8, KernelSpec(1.0))
         with pytest.raises(InvalidInputError):
             sample_feature_map(2, 0, KernelSpec(1.0))
+
+    @staticmethod
+    def reference(fm, Z, dtype, scale):
+        proj = Z.astype(dtype) @ fm.frequencies.T.astype(dtype)
+        proj += fm.offsets.astype(dtype)
+        np.cos(proj, out=proj)
+        proj *= scale
+        return proj
+
+    def test_float32_scaled_in_float32(self):
+        # the sqrt(2/d) scale is a float32 scalar: a float64 one would run the
+        # product in float64 and round it back (NEP 50), different bits
+        fm = sample_feature_map(3, 256, KernelSpec(0.8), seed=2)
+        Z = np.random.default_rng(3).normal(size=(200, 3))
+        got = apply_feature_map(fm, Z, dtype=np.float32)
+        assert got.dtype == np.float32
+        assert got.tobytes() == self.reference(fm, Z, np.float32, np.float32(np.sqrt(2.0 / 256))).tobytes()
+
+    def test_float64_unchanged(self):
+        fm = sample_feature_map(3, 256, KernelSpec(0.8), seed=2)
+        Z = np.random.default_rng(3).normal(size=(200, 3))
+        got = apply_feature_map(fm, Z)
+        assert got.dtype == np.float64
+        assert got.tobytes() == self.reference(fm, Z, np.float64, np.sqrt(2.0 / 256)).tobytes()
+
+
+    def test_mapped_out_array_gets_the_same_bits(self):
+        fm = sample_feature_map(2, 1024, KernelSpec(0.8), seed=4)
+        Z = np.random.default_rng(5).normal(size=(300, 2))
+        out = mapped_empty((300, 1024), np.float32)
+        assert out.shape == (300, 1024) and out.dtype == np.float32 and out.flags.writeable
+        got = apply_feature_map(fm, Z, dtype=np.float32, out=out)
+        assert got is out
+        assert out.tobytes() == apply_feature_map(fm, Z, dtype=np.float32).tobytes()
+
+
+class TestFeatureRows:
+    @pytest.mark.parametrize("dim", [1, 2, 20])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rows_equal_stored_rows(self, dim, dtype):
+        # at d = 1024 each row of a product of two or more rows comes out of
+        # BLAS with the bits it has in the whole product
+        fm = sample_feature_map(dim, 1024, KernelSpec(0.6 * np.sqrt(dim)), seed=dim)
+        Y = np.random.default_rng(dim).normal(size=(3_000, dim))
+        stored = apply_feature_map(fm, Y, dtype=dtype)
+        rows = FeatureRows(fm, Y, dtype)
+        assert rows.shape == stored.shape and rows.dtype == stored.dtype
+        draws = np.random.default_rng(0).integers(0, len(Y), size=512)
+        for key in (draws, draws[:2], draws[:64], slice(100, 612), slice(None)):
+            assert rows[key].tobytes() == stored[key].tobytes()
 
 
 class TestMedianHeuristic:

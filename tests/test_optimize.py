@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from kernelkl import InvalidInputError, NumericalFailureError, OptimizerConfig
-from kernelkl.kernels import KernelSpec, apply_feature_map, build_gram, pivoted_cholesky, sample_feature_map
+from kernelkl.kernels import (
+    FeatureRows,
+    KernelSpec,
+    apply_feature_map,
+    build_gram,
+    mean_feature_map,
+    pivoted_cholesky,
+    sample_feature_map,
+)
 from kernelkl.objective import dual_gradient, dual_objective, primal_gradient
 from kernelkl.optimize import CONVERGENCE_WINDOW, ascend, project_dual, project_primal, run_dual, run_primal
 
@@ -261,6 +269,25 @@ class TestRunPrimal:
         PhiX, PhiY = self.features(X, Y, d=2048, seed=3)
         _, primal_trace = run_primal(PhiX.mean(axis=0), PhiY, OptimizerConfig(step_size=0.5, max_iter=2000, seed=2))
         assert abs(primal_trace.estimate - dual_trace.estimate) <= 0.05
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("minibatch", [64, 512, 5_000])
+    def test_streamed_rows_give_the_stored_run(self, seed, minibatch):
+        # the same draws index the stored matrix and the lazy rows, so weights
+        # and traces agree bit for bit; a full batch maps the rows once
+        rng = np.random.default_rng(seed)
+        X, Y = rng.normal(size=(3_000, 2)), rng.normal(loc=0.7, size=(4_000, 2))
+        fm = sample_feature_map(2, 1024, KernelSpec(0.5), seed=seed)
+        mean_phi_x = mean_feature_map(fm, X, dtype=np.float32)
+        cfg = OptimizerConfig(max_iter=60, minibatch=minibatch, seed=seed)
+        stored = run_primal(mean_phi_x, apply_feature_map(fm, Y, dtype=np.float32), cfg)
+        streamed = run_primal(mean_phi_x, FeatureRows(fm, Y, np.float32), cfg)
+        for weights, _ in (stored, streamed):
+            # a float64 scalar anywhere in the step would make beta float64 (NEP 50)
+            assert weights.beta.dtype == np.float32
+        assert stored[0].beta.tobytes() == streamed[0].beta.tobytes()
+        assert stored[1].kl_values.tobytes() == streamed[1].kl_values.tobytes()
+        assert stored[1].estimate == streamed[1].estimate and stored[1].iterations == streamed[1].iterations
 
     def test_stationary_full_batch(self):
         rng = np.random.default_rng(39)
