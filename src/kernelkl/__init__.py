@@ -22,7 +22,7 @@ from .fairness import (
     equality_of_odds,
     equality_of_opportunity,
 )
-from .mine import MineConfig, mine_estimate
+from .mine import mine_estimate
 from .optimize import OptimizerConfig
 from .synthetic import GaussianPairSpec, analytic_gaussian_kl, analytic_mi, sample_gaussian_pairs
 
@@ -38,7 +38,6 @@ __all__ = [
     "FairnessReport",
     "GaussianPairSpec",
     "InvalidInputError",
-    "MineConfig",
     "NumericalFailureError",
     "OptimizerConfig",
     "analytic_gaussian_kl",

@@ -18,7 +18,7 @@ from .datasets import read_csv_dataset, resolve_columns, write_csv_dataset
 from .errors import InvalidInputError, NumericalFailureError
 from .estimator import EstimatorConfig, estimate_kl, estimate_mi
 from .fairness import AuditTable, audit
-from .mine import MineConfig
+from .mine import MINE_OPTIMIZER
 from .optimize import OptimizerConfig
 from .synthetic import GaussianPairSpec, sample_gaussian_pairs
 
@@ -147,7 +147,7 @@ def cmd_benchmark(args):
         trials=args.trials,
         kkle_config=_estimator_config(args),
         # MINE's network has no norm ball, so --budget changes nothing there
-        mine_config=MineConfig(optimizer=replace(MineConfig().optimizer, **_optimizer_flags(args))),
+        mine_config=replace(MINE_OPTIMIZER, **_optimizer_flags(args)),
         seed=args.seed,
     )
     report = run_benchmark(cfg, jobs=args.jobs)

@@ -18,8 +18,8 @@ def read_csv_dataset(path):
     The rows are parsed in one ``np.loadtxt`` pass, which reads each cell as
     ``float()`` does.  Where it raises or could read the file otherwise (a
     quoted or ``1_000`` cell, a blank line, a non-finite value), the file is
-    parsed again with the csv module, cell by cell where needed, so that an
-    error names the row and column.
+    parsed again with the csv module, cell by cell, so that an error names
+    the row and column.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -35,17 +35,9 @@ def read_csv_dataset(path):
     if not rows:
         raise InvalidInputError(f"{path}: empty file")
     header = rows[0]
-    ncols = len(header)
-    if ncols == 0:
+    if not header:
         raise InvalidInputError(f"{path}: empty header row")
-    try:
-        # the reshape also rejects rows that all share a width other than ncols
-        data = np.array(rows[1:], dtype=float).reshape(len(rows) - 1, ncols)
-    except ValueError:
-        data = None
-    if data is None or not np.all(np.isfinite(data)):
-        data = _parse_cells(path, header, rows)
-    return header, data
+    return header, _parse_cells(path, header, rows)
 
 
 def _load_rows(lines, ncols):

@@ -67,8 +67,9 @@ class EstimatorConfig:
             raise InvalidInputError(f"mode must be 'primal' or 'dual', got {self.mode!r}")
         if self.feature_dim < 1:
             raise InvalidInputError("feature_dim must be >= 1")
-        if self.bandwidth is not None and self.bandwidth <= 0:
-            raise InvalidInputError("bandwidth must be positive")
+        # a chained comparison is False for NaN, so NaN and inf are rejected too
+        if self.bandwidth is not None and not 0 < self.bandwidth < np.inf:
+            raise InvalidInputError("bandwidth must be finite and positive")
 
     def with_seed(self, seed):
         return replace(self, optimizer=self.optimizer.with_seed(seed))
@@ -107,8 +108,7 @@ def estimate_kl(X, Y, cfg=None):
     X, Y = _validate_samples(X, Y)
     seed = cfg.optimizer.seed
 
-    pooled = np.vstack([X, Y])
-    if np.all(pooled == pooled[0]):
+    if np.all(X == X[0]) and np.all(Y == X[0]):
         # all points identical in both sets: divergence 0 by construction
         trace = OptimizationTrace(kl_values=np.zeros(1), converged=True, iterations=0, estimate=0.0)
         return EstimateResult(
@@ -132,6 +132,7 @@ def estimate_kl(X, Y, cfg=None):
     if cfg.mode == "dual":
         # K = L L' on the pooled samples, so the RKHS ball there is exactly
         # {L gamma : ||gamma|| <= M}: the rows of L are exact-kernel features
+        pooled = np.vstack([X, Y])
         L, _ = pivoted_cholesky(
             lambda i: kernel_values(pooled, pooled[i : i + 1], spec)[:, 0], pooled.shape[0], cfg.feature_dim
         )
@@ -186,9 +187,14 @@ def joint_and_product(pairs, x_cols, y_cols, seed):
     xs, ys = split_pairs(pairs, x_cols, y_cols)
     if xs.shape[0] < 4:
         raise InvalidInputError("need at least 4 rows to estimate mutual information")
+    dx = xs.shape[1]
+    joint = np.hstack([xs, ys])
+    del xs, ys  # from here, at most the two returned blocks and the permutation are held
     rng = np.random.default_rng(derive_seed(seed, _PERMUTE_TAG))
-    perm = rng.permutation(xs.shape[0])
-    return np.hstack([xs, ys]), np.hstack([xs, ys[perm]])
+    perm = rng.permutation(joint.shape[0])
+    product = joint[perm]
+    product[:, :dx] = joint[:, :dx]
+    return joint, product
 
 
 def estimate_mi(pairs, x_cols, y_cols, cfg=None, seed=None):

@@ -36,6 +36,8 @@ MEAN_CHUNK_ROWS = 512
 MAX_GRAM_ROWS = 10_000
 #: ``pivoted_cholesky`` stops once every diagonal residual of K - L L' is at most this.
 CHOLESKY_TOL = 1e-6
+#: Pooled points ``median_heuristic_bandwidth`` subsamples to.
+BANDWIDTH_POINTS = 1000
 #: Rows of pairwise distances computed at a time, so the scratch array of
 #: ``sq_distances`` is one block of rows rather than a second full matrix.
 DISTANCE_BLOCK_ROWS = 64
@@ -231,17 +233,20 @@ def pivoted_cholesky(column, size, max_rank):
     return Lt[: len(pivots)].T, np.array(pivots, dtype=np.intp)
 
 
-def median_heuristic_bandwidth(X, Y, max_points=1000, seed=0):
-    """Median pairwise distance over a subsample of <= max_points pooled points.
+def median_heuristic_bandwidth(X, Y, seed=0):
+    """Median pairwise distance over a subsample of <= BANDWIDTH_POINTS pooled points.
 
     Deterministic given the seed.  Falls back to 1.0 when all sampled points
     coincide (zero median), so downstream code never divides by zero.
     """
-    Z = np.vstack(as_sample_pair(X, Y))
-    if Z.shape[0] > max_points:
-        rng = np.random.default_rng(seed)
-        idx = rng.choice(Z.shape[0], size=max_points, replace=False)
-        Z = Z[idx]
+    X, Y = as_sample_pair(X, Y)
+    n, pooled = X.shape[0], X.shape[0] + Y.shape[0]
+    if pooled <= BANDWIDTH_POINTS:
+        idx = np.arange(pooled)
+    else:
+        idx = np.random.default_rng(seed).choice(pooled, size=BANDWIDTH_POINTS, replace=False)
+    # rows idx of the pooled [X; Y], gathered without stacking the samples
+    Z = np.where((idx < n)[:, None], X[np.minimum(idx, n - 1)], Y[np.maximum(idx - n, 0)])
     sq = pair_sq_distances(Z)
     med = 0.0
     if sq.size:

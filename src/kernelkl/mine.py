@@ -2,14 +2,15 @@
 
 The witness T is parameterized as t(z) = v . tanh(W z + b) + c and trained by
 minibatch SGD to maximize mean_P[t] - log mean_Q[exp(t)], with manual
-backpropagation: ``objective.dv_value_and_weights`` gives the bound and the
-weights over the Q-scores that backpropagate its log-mean-exp term.  The
-steps run under the kernel estimator's driver, ``optimize.ascend``, with the
-same ``CONVERGENCE_WINDOW`` stopping rule.  Parameters are unconstrained; a
-run that produces non-finite values raises instead of clamping.
+backpropagation from one hidden-layer evaluation per batch:
+``objective.dv_value_and_weights`` gives the bound and the weights over the
+Q-scores that backpropagate its log-mean-exp term.  The steps run under the
+kernel estimator's driver and settings (``optimize.ascend``, ``OptimizerConfig``)
+with the same ``CONVERGENCE_WINDOW`` stopping rule.  Parameters are
+unconstrained; a run that produces non-finite values raises instead of clamping.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +21,11 @@ from .optimize import OptimizerConfig, ascend
 
 _INIT_TAG = 11
 _LOOP_TAG = 12
+
+#: Hidden units of the network.
+HIDDEN_WIDTH = 64
+#: MINE's optimizer defaults: a damped step, and no RKHS penalty, which the network does not have.
+MINE_OPTIMIZER = OptimizerConfig(step_size=0.2, penalty_weight=0.0)
 
 
 @dataclass(frozen=True)
@@ -32,22 +38,8 @@ class MlpParams:
     c: float
 
     @property
-    def hidden_width(self):
-        return self.W.shape[0]
-
-    @property
     def input_dim(self):
         return self.W.shape[1]
-
-
-@dataclass(frozen=True)
-class MineConfig:
-    hidden_width: int = 64
-    optimizer: OptimizerConfig = field(default_factory=lambda: OptimizerConfig(step_size=0.2, penalty_weight=0.0))
-
-    def __post_init__(self):
-        if self.hidden_width < 1:
-            raise InvalidInputError("hidden_width must be >= 1")
 
 
 def init_params(input_dim, hidden_width, seed=0):
@@ -75,6 +67,11 @@ def unpack_params(vec, input_dim, hidden_width):
     return MlpParams(W=W, b=b, v=v, c=float(vec[-1]))
 
 
+def _hidden(params, Z):
+    """Hidden activations tanh(Z W' + b), one row per sample."""
+    return np.tanh(Z @ params.W.T + params.b)
+
+
 def mine_forward(params, z):
     """Evaluate t(z) for one D-vector or row-wise for an n x D matrix."""
     z = np.asarray(z, dtype=float)
@@ -83,13 +80,12 @@ def mine_forward(params, z):
         z = z[None, :]
     if z.shape[1] != params.input_dim:
         raise InvalidInputError(f"input dimension {z.shape[1]} does not match network ({params.input_dim})")
-    out = np.tanh(z @ params.W.T + params.b) @ params.v + params.c
+    out = _hidden(params, z) @ params.v + params.c
     return float(out[0]) if single else out
 
 
-def _weighted_score_gradient(params, Z, u):
-    """Gradient of sum_i u_i t(z_i) with respect to the packed parameters."""
-    A = np.tanh(Z @ params.W.T + params.b)
+def _weighted_score_gradient(params, Z, A, u):
+    """Gradient of sum_i u_i t(z_i) with respect to the packed parameters; A = _hidden(params, Z)."""
     S = (u[:, None] * (1.0 - A**2)) * params.v
     gW = S.T @ Z
     gb = S.sum(axis=0)
@@ -100,22 +96,21 @@ def _weighted_score_gradient(params, Z, u):
 
 def dv_objective_and_gradient(params, Xb, Yb):
     """Bound value mean_P[t] - log mean_Q[exp(t)] and its parameter gradient."""
-    tx = mine_forward(params, Xb)
-    value, w = dv_value_and_weights(float(np.mean(tx)), mine_forward(params, Yb))
-    grad = _weighted_score_gradient(params, Xb, np.full(Xb.shape[0], 1.0 / Xb.shape[0]))
-    grad -= _weighted_score_gradient(params, Yb, w)
+    Ax, Ay = _hidden(params, Xb), _hidden(params, Yb)
+    value, w = dv_value_and_weights(float(np.mean(Ax @ params.v + params.c)), Ay @ params.v + params.c)
+    grad = _weighted_score_gradient(params, Xb, Ax, np.full(Xb.shape[0], 1.0 / Xb.shape[0]))
+    grad -= _weighted_score_gradient(params, Yb, Ay, w)
     return value, grad
 
 
 def mine_estimate(X, Y, cfg=None):
-    """Estimate KL(P || Q) with the neural witness; same stopping rule as the kernel path."""
-    cfg = cfg or MineConfig()
+    """Estimate KL(P || Q) with the neural witness under ``cfg``, an ``OptimizerConfig`` (default ``MINE_OPTIMIZER``)."""
+    cfg = cfg or MINE_OPTIMIZER
     X, Y = _validate_samples(X, Y)
     (n, input_dim), m = X.shape, Y.shape[0]
-    opt = cfg.optimizer
     # the network is nonlinear in P, so minibatches draw P indices as well as Q;
     # the whole arrays are reused only when the batch covers both n and m
-    batch = min(opt.minibatch, n, m)
+    batch = min(cfg.minibatch, n, m)
     full_batch = batch >= n and batch >= m
 
     def step(vec, rng):
@@ -125,13 +120,13 @@ def mine_estimate(X, Y, cfg=None):
             Yb = Y[rng.integers(0, m, size=batch)]
         # ascent on the bound; the tracked value is the incoming iterate's,
         # which the gradient computation produces for free
-        value, grad = dv_objective_and_gradient(unpack_params(vec, input_dim, cfg.hidden_width), Xb, Yb)
-        return vec + opt.step_size * grad, value
+        value, grad = dv_objective_and_gradient(unpack_params(vec, input_dim, HIDDEN_WIDTH), Xb, Yb)
+        return vec + cfg.step_size * grad, value
 
-    params0 = init_params(input_dim, cfg.hidden_width, seed=derive_seed(opt.seed, _INIT_TAG))
+    params0 = init_params(input_dim, HIDDEN_WIDTH, seed=derive_seed(cfg.seed, _INIT_TAG))
     # an overflowing step surfaces as a non-finite value from ascend, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        _, trace = ascend(step, pack_params(params0), opt.with_seed(derive_seed(opt.seed, _LOOP_TAG)))
+        _, trace = ascend(step, pack_params(params0), cfg.with_seed(derive_seed(cfg.seed, _LOOP_TAG)))
     return EstimateResult(
         kl_estimate=trace.estimate,
         trace=trace,

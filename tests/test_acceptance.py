@@ -46,6 +46,7 @@ def test_01_analytic_mi_oracle():
     report("01 analytic-mi-oracle", worst <= 5e-7, f"max abs diff {worst:.2e}, tol 5e-7")
 
 
+@pytest.mark.slow
 def test_02_large_data_mi_bias():
     start = time.perf_counter()
     cfg = BenchmarkConfig(
@@ -60,6 +61,7 @@ def test_02_large_data_mi_bias():
     report("02 large-data-mi-bias", ok, f"{detail}; runtime {elapsed:.0f}s <= 300s")
 
 
+@pytest.mark.slow
 def test_03_small_data_variance_ordering():
     start = time.perf_counter()
     cfg = small_data_benchmark_config(trials=30, seed=0, rhos=(0.9,))

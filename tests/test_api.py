@@ -14,7 +14,6 @@ PUBLIC_NAMES = [
     "FairnessReport",
     "GaussianPairSpec",
     "InvalidInputError",
-    "MineConfig",
     "NumericalFailureError",
     "OptimizerConfig",
     "analytic_gaussian_kl",

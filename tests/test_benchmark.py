@@ -11,7 +11,6 @@ from kernelkl.benchmark import (
     small_data_benchmark_config,
 )
 from kernelkl.estimator import EstimatorConfig
-from kernelkl.mine import MineConfig
 from kernelkl.optimize import OptimizerConfig
 import json
 
@@ -26,7 +25,7 @@ def tiny_config(**overrides):
         sample_count=200,
         trials=3,
         kkle_config=EstimatorConfig(mode="dual", optimizer=opt),
-        mine_config=MineConfig(optimizer=OptimizerConfig(step_size=0.2, max_iter=50, minibatch=1_000_000, penalty_weight=0.0)),
+        mine_config=OptimizerConfig(step_size=0.2, max_iter=50, minibatch=1_000_000, penalty_weight=0.0),
         seed=0,
     )
     defaults.update(overrides)

@@ -14,12 +14,12 @@ from kernelkl import (
     EstimatorConfig,
     GaussianPairSpec,
     InvalidInputError,
-    MineConfig,
     run_benchmark,
     sample_gaussian_pairs,
 )
 from kernelkl.cli import main
 from kernelkl.datasets import read_csv_dataset, resolve_columns, write_csv_dataset
+from kernelkl.mine import MINE_OPTIMIZER
 
 FAST = ["--max-iter", "200"]
 
@@ -303,7 +303,7 @@ class TestEstimateMi:
             ("seed", opt.seed),
         ]
 
-    @pytest.mark.parametrize("flag", ["--step", "--budget", "--gamma"])
+    @pytest.mark.parametrize("flag", ["--step", "--budget", "--gamma", "--bandwidth"])
     def test_non_finite_optimizer_flag_exit_one(self, mi_file, capsys, flag):
         code, out, err = run_cli(capsys, "estimate-mi", "--data", mi_file,
                                  "--x-cols", "x1", "--y-cols", "y1", flag, "nan")
@@ -408,7 +408,7 @@ class TestBenchmarkCommand:
 
     @staticmethod
     def library_mine_row(**optimizer):
-        mine = MineConfig(optimizer=replace(MineConfig().optimizer, **optimizer))
+        mine = replace(MINE_OPTIMIZER, **optimizer)
         cfg = BenchmarkConfig(estimators=("mine",), rhos=(0.5,), sample_count=100, trials=2, mine_config=mine)
         return asdict(run_benchmark(cfg).rows[0])
 

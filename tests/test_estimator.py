@@ -100,6 +100,11 @@ class TestEstimateKl:
         with pytest.raises(InvalidInputError, match="feature_dim must be >= 1"):
             EstimatorConfig(mode=mode, feature_dim=0)
 
+    @pytest.mark.parametrize("bandwidth", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_bandwidth_must_be_finite_and_positive(self, bandwidth):
+        with pytest.raises(InvalidInputError, match="bandwidth must be finite and positive"):
+            EstimatorConfig(bandwidth=bandwidth)
+
     def test_explicit_bandwidth_respected(self):
         X, Y = gaussian_sets(100, shift=1.0, seed=5)
         result = estimate_kl(X, Y, EstimatorConfig(bandwidth=2.5))
@@ -252,6 +257,25 @@ class TestJointAndProduct:
     def test_too_few_rows(self):
         with pytest.raises(InvalidInputError):
             joint_and_product(np.zeros((3, 2)), [0], [1], seed=0)
+
+    def test_blocks_match_split_pairs(self):
+        pairs = np.random.default_rng(1).normal(size=(40, 5))
+        joint, product = joint_and_product(pairs, [3, 0], [4, 1], seed=2)
+        xs, ys = split_pairs(pairs, [3, 0], [4, 1])
+        perm = np.random.default_rng(derive_seed(2, estimator._PERMUTE_TAG)).permutation(40)
+        np.testing.assert_array_equal(joint, np.hstack([xs, ys]))
+        np.testing.assert_array_equal(product, np.hstack([xs, ys[perm]]))
+
+    def test_peak_memory_is_the_two_blocks_and_the_permutation(self):
+        n = 200_000
+        pairs = np.random.default_rng(3).normal(size=(n, 2))
+        tracemalloc.start()
+        try:
+            joint, product = joint_and_product(pairs, [0], [1], seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < joint.nbytes + product.nbytes + n * 8 + 100_000
 
 
 class TestEstimateMi:

@@ -388,6 +388,19 @@ class TestMedianHeuristic:
         Z_sub = Z[np.random.default_rng(seed).choice(Z.shape[0], size=1000, replace=False)]
         assert median_heuristic_bandwidth(X, Y, seed=seed) == float(np.median(pdist(Z_sub)))
 
+    def test_subsample_is_gathered_without_stacking_the_samples(self):
+        # stacking 1M pooled rows of D = 4 would take 32 MB; the 1000-point
+        # distances and their partitioned copy take 8 MB
+        rng = np.random.default_rng(5)
+        X, Y = rng.normal(size=(600_000, 4)), rng.normal(size=(400_000, 4))
+        tracemalloc.start()
+        try:
+            median_heuristic_bandwidth(X, Y, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * (X.nbytes + Y.nbytes)
+
     @pytest.mark.parametrize("pooled", [2, 3, 7, 8, 131])
     def test_equals_median_of_pdist_odd_and_even_pair_counts(self, pooled):
         # 7 points give 21 pairs (one middle value), 8 give 28 (two)

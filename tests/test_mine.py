@@ -3,8 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
-from kernelkl import InvalidInputError, MineConfig, NumericalFailureError, OptimizerConfig, mine_estimate
+from kernelkl import InvalidInputError, NumericalFailureError, OptimizerConfig, mine, mine_estimate
 from kernelkl.mine import (
+    MINE_OPTIMIZER,
     dv_objective_and_gradient,
     init_params,
     mine_forward,
@@ -88,6 +89,21 @@ class TestObjectiveAndGradient:
             fd[i] = (vp - vm) / (2 * h)
         np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-7)
 
+    def test_hidden_layer_evaluated_once_per_batch(self, monkeypatch):
+        calls = []
+        hidden = mine._hidden
+
+        def counted(params, Z):
+            calls.append(Z)
+            return hidden(params, Z)
+
+        monkeypatch.setattr(mine, "_hidden", counted)
+        rng = np.random.default_rng(13)
+        Xb, Yb = rng.normal(size=(6, 2)), rng.normal(size=(7, 2))
+        dv_objective_and_gradient(init_params(2, 4, seed=0), Xb, Yb)
+        assert len(calls) == 2
+        assert calls[0] is Xb and calls[1] is Yb
+
     def test_value_matches_direct_formula(self):
         p = init_params(1, 3, seed=6)
         rng = np.random.default_rng(7)
@@ -105,7 +121,7 @@ class TestMineEstimate:
         rng = np.random.default_rng(8)
         X = rng.normal(size=(500, 1))
         Y = rng.normal(size=(500, 1))
-        cfg = MineConfig(optimizer=OptimizerConfig(step_size=0.1, max_iter=300, penalty_weight=0.0, seed=8))
+        cfg = OptimizerConfig(step_size=0.1, max_iter=300, penalty_weight=0.0, seed=8)
         result = mine_estimate(X, Y, cfg)
         assert abs(result.kl_estimate) <= 0.1
 
@@ -113,7 +129,7 @@ class TestMineEstimate:
         rng = np.random.default_rng(9)
         X = rng.normal(size=(2000, 1))
         Y = rng.normal(loc=1.0, size=(2000, 1))
-        cfg = MineConfig(optimizer=OptimizerConfig(step_size=0.2, max_iter=500, penalty_weight=0.0, seed=9))
+        cfg = OptimizerConfig(step_size=0.2, max_iter=500, penalty_weight=0.0, seed=9)
         result = mine_estimate(X, Y, cfg)
         assert result.kl_estimate == pytest.approx(0.5, abs=0.2)
 
@@ -121,16 +137,24 @@ class TestMineEstimate:
         rng = np.random.default_rng(10)
         X = rng.normal(size=(300, 1))
         Y = rng.normal(loc=0.5, size=(300, 1))
-        cfg = MineConfig(optimizer=OptimizerConfig(step_size=0.1, max_iter=100, seed=5, penalty_weight=0.0))
+        cfg = OptimizerConfig(step_size=0.1, max_iter=100, seed=5, penalty_weight=0.0)
         r1 = mine_estimate(X, Y, cfg)
         r2 = mine_estimate(X, Y, cfg)
         assert r1.kl_estimate == r2.kl_estimate
         assert np.array_equal(r1.trace.kl_values, r2.trace.kl_values)
 
+    def test_config_is_the_optimizer_config_passed_in(self):
+        rng = np.random.default_rng(14)
+        X, Y = rng.normal(size=(50, 1)), rng.normal(size=(50, 1))
+        cfg = OptimizerConfig(step_size=0.1, max_iter=20, penalty_weight=0.0, seed=3)
+        assert mine_estimate(X, Y, cfg).config is cfg
+        assert mine_estimate(X, Y).config is MINE_OPTIMIZER
+        assert MINE_OPTIMIZER == OptimizerConfig(step_size=0.2, penalty_weight=0.0)
+
     def test_bandwidth_is_nan(self):
         rng = np.random.default_rng(11)
         result = mine_estimate(rng.normal(size=(50, 1)), rng.normal(size=(50, 1)),
-                               MineConfig(optimizer=OptimizerConfig(max_iter=20, penalty_weight=0.0)))
+                               OptimizerConfig(max_iter=20, penalty_weight=0.0))
         assert np.isnan(result.bandwidth)
 
     def test_invalid_inputs(self):
@@ -138,8 +162,6 @@ class TestMineEstimate:
             mine_estimate(np.zeros((1, 1)), np.zeros((5, 1)))
         with pytest.raises(InvalidInputError):
             mine_estimate(np.zeros((5, 1)), np.zeros((5, 2)))
-        with pytest.raises(InvalidInputError):
-            MineConfig(hidden_width=0)
 
     def test_nan_input_is_invalid_input(self):
         X = np.zeros((5, 1))
@@ -150,7 +172,7 @@ class TestMineEstimate:
     def test_overflowing_step_is_a_numerical_failure_without_numpy_warnings(self):
         rng = np.random.default_rng(12)
         X, Y = rng.normal(size=(200, 1)), rng.normal(loc=1.0, size=(200, 1))
-        cfg = MineConfig(optimizer=OptimizerConfig(step_size=1e308, max_iter=5, penalty_weight=0.0))
+        cfg = OptimizerConfig(step_size=1e308, max_iter=5, penalty_weight=0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalFailureError, match="non-finite objective"):
