@@ -44,8 +44,10 @@ def derive_seed(seed, tag):
 #: Largest Q-side feature matrix ``estimate_kl`` stores: 256 MiB, 65 536 rows at
 #: d = 1024 in float32.  Storing maps each row once, so its cost grows with m;
 #: streaming (``kernels.FeatureRows``) maps every minibatch when it is drawn,
-#: about 0.4 s per 500 steps of 512 rows on 2 cores whatever m, and holds one
-#: minibatch.  Measured there, storing was faster up to 70k rows, streaming at 100k.
+#: 0.3-0.6 s per 500 steps of 512 rows on a 2-core VM whose speed varied
+#: twofold, whatever m, and holds one minibatch.  Measured there (D = 2), the
+#: two were within 11% of each other from 50k to 70k rows, either one ahead
+#: at 65 536, and streaming was faster from 80k.
 MAX_STORED_FEATURE_BYTES = 256 * 2**20
 
 #: Multiplier on the median-heuristic bandwidth.  The plain median is

@@ -4,10 +4,14 @@ The feature map follows Rahimi-Recht: phi_i(x) = sqrt(2/d) * cos(w_i . x + b_i)
 with w_i ~ N(0, sigma^-2 I) and b_i ~ U[0, 2pi), so that phi(x) . phi(y)
 approximates exp(-||x - y||^2 / (2 sigma^2)).  Replacing the (n+m)^2 Gram
 matrix with (n+m) x d features drops the per-step optimization cost from
-quadratic to linear in the pooled sample count.  A feature row is a fixed
+quadratic to linear in the pooled sample count.  Every feature row is made
+by one fused pass per block of MAP_BLOCK_ROWS rows: the product
+[x, 1] @ [W'; b], with the offsets folded in as one more row, then cos and the
+scale in place while the block is in cache.  A feature row is a fixed
 function of its sample, so an n x d feature matrix need never be stored:
 ``FeatureRows`` maps the rows it is indexed with, and ``mean_feature_map``
-reads its chunks through it.  The rows of a pivoted Cholesky factor
+sums chunks of rows, the second half of them on a helper thread when a
+second CPU is free.  The rows of a pivoted Cholesky factor
 K ~= L L' are exact-kernel features of the pooled samples, built from kernel
 columns on demand without forming K.
 
@@ -20,6 +24,9 @@ cost of importing scipy.
 
 import math
 import mmap
+import os
+import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +34,13 @@ import numpy as np
 from .errors import InvalidInputError
 
 DEFAULT_FEATURE_DIM = 1024
-#: Rows mapped at a time by ``mean_feature_map``: 2 MB per chunk at d = 1024 in
-#: float32, about one L2 cache, the size of a default streamed Q minibatch.
+#: Rows per fused product, cos and scale of the feature map: 256 KB at d = 1024
+#: in float32, so a block stays in L2 through all three.  At D <= 3 a block's
+#: product (64 x (D + 1) x 1024 multiply-adds) is below the 4 x 65536 at which
+#: OpenBLAS starts threads of its own, so it runs on the calling thread.
+MAP_BLOCK_ROWS = 64
+#: Rows ``mean_feature_map`` maps and sums in float64 at a time: 2 MB per chunk
+#: at d = 1024 in float32, the size of a default streamed Q minibatch.
 MEAN_CHUNK_ROWS = 512
 #: Largest pooled sample count ``build_gram`` accepts.  The float64 Gram matrix
 #: is then 0.8 GB; building it holds that one copy plus one block of rows.
@@ -147,10 +159,12 @@ def pair_sq_distances(Z):
 
     The values of ``scipy.spatial.distance.pdist(Z, "sqeuclidean")``, bit for
     bit, but in block order rather than pdist's: per block of rows, the pairs
-    inside the block, then the block against every later row.
+    inside the block, then the block against every later row.  The result is
+    4 MB for 1000 rows; it is ``mapped_empty``, so freeing it leaves glibc's
+    heap as it was (see there).
     """
     n = Z.shape[0]
-    out = np.empty(n * (n - 1) // 2)
+    out = mapped_empty((n * (n - 1) // 2,), float)
     pos = 0
     for start in range(0, n, DISTANCE_BLOCK_ROWS):
         block, later = Z[start : start + DISTANCE_BLOCK_ROWS], Z[start + DISTANCE_BLOCK_ROWS :]
@@ -252,10 +266,11 @@ def median_heuristic_bandwidth(X, Y, seed=0):
     if sq.size:
         # np.median(np.sqrt(sq)) bit for bit: sqrt is monotone, so the middle
         # distances are the roots of the middle squared distances, and one
-        # partition finds them (np.median partitions twice for an even size)
+        # partition in place finds them (np.median partitions twice for an
+        # even size, and np.partition would copy the distances first)
         half = sq.size // 2
-        part = np.partition(sq, half)
-        middle = [part[half]] if sq.size % 2 else [part[:half].max(), part[half]]
+        sq.partition(half)
+        middle = [sq[half]] if sq.size % 2 else [sq[:half].max(), sq[half]]
         med = float(np.mean(np.sqrt(middle)))
     return med if med > 0 else 1.0
 
@@ -284,7 +299,56 @@ def mapped_empty(shape, dtype):
     with malloc'd matrices and stayed at 79 MiB with mapped ones.
     """
     dtype = np.dtype(dtype)
-    return np.frombuffer(mmap.mmap(-1, math.prod(shape) * dtype.itemsize), dtype=dtype).reshape(shape)
+    size = math.prod(shape)
+    # a map of one byte at least: mmap refuses an empty one
+    return np.frombuffer(mmap.mmap(-1, max(size * dtype.itemsize, 1)), dtype=dtype, count=size).reshape(shape)
+
+
+def _augmented_frequencies(fm, dtype):
+    """[W'; b] in ``dtype``: the frequencies with the offsets as one more row, so [x, 1] @ [W'; b] = x W' + b."""
+    wb = np.empty((fm.input_dim + 1, fm.dim), dtype)
+    wb[:-1] = fm.frequencies.T
+    wb[-1] = fm.offsets
+    return wb
+
+
+def _map_rows(fm, wb, x, out=None):
+    """Features of x (a D-vector or an n x D matrix) in wb's dtype; wb is ``_augmented_frequencies(fm, dtype)``.
+
+    One fused pass per block of MAP_BLOCK_ROWS rows: the product [x, 1] @ [W'; b],
+    then cos and the sqrt(2/d) scale in place while the block is in cache.  The
+    product's last multiply-add, 1 * b, rounds as the separate + b would, so each
+    row of a block of two or more rows has the bits of x W' + b.  A one-row tail
+    joins the block before it; a lone row is a matrix-vector product, which
+    rounds the folded offset differently, so it keeps the product and sum apart.
+    """
+    x = np.asarray(x)
+    single = x.ndim == 1
+    if single:
+        x = x[None, :]
+    if x.ndim != 2 or x.shape[1] != fm.input_dim:
+        raise InvalidInputError(f"input dimension {x.shape} does not match feature map ({fm.input_dim})")
+    n, dtype = x.shape[0], wb.dtype
+    if out is None:
+        out = np.empty((n, fm.dim), dtype)
+    # a scalar of the array's own dtype: a float64 one would run a float32
+    # array's product in float64 and cast it back (NEP 50)
+    scale = dtype.type(np.sqrt(2.0 / fm.dim))
+    ones = np.ones((min(n, MAP_BLOCK_ROWS + 1), fm.input_dim + 1), dtype)  # [x, 1] of one block
+    start = 0
+    while start < n:
+        stop = n if n - start <= MAP_BLOCK_ROWS + 1 else start + MAP_BLOCK_ROWS
+        block = out[start:stop]
+        if stop - start == 1:
+            np.matmul(x[start:stop].astype(dtype), fm.frequencies.T.astype(dtype), out=block)
+            block += wb[-1]
+        else:
+            ones[: stop - start, :-1] = x[start:stop]
+            np.matmul(ones[: stop - start], wb, out=block)
+        np.cos(block, out=block)
+        block *= scale
+        start = stop
+    return out[0] if single else out
 
 
 def apply_feature_map(fm, x, dtype=float, out=None):
@@ -294,30 +358,19 @@ def apply_feature_map(fm, x, dtype=float, out=None):
     roughly halves the cost for large sample matrices.  ``out``, an n x d
     array of that dtype, receives the features of a matrix.
     """
-    x = np.asarray(x, dtype=dtype)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.ndim != 2 or x.shape[1] != fm.input_dim:
-        raise InvalidInputError(f"input dimension {x.shape} does not match feature map ({fm.input_dim})")
-    proj = np.matmul(x, fm.frequencies.T.astype(dtype), out=out)
-    proj += fm.offsets.astype(dtype)
-    np.cos(proj, out=proj)
-    # a scalar of the array's own dtype: a float64 one would run a float32
-    # array's product in float64 and cast it back (NEP 50)
-    proj *= proj.dtype.type(np.sqrt(2.0 / fm.dim))
-    return proj[0] if single else proj
+    return _map_rows(fm, _augmented_frequencies(fm, dtype), x, out)
 
 
 class FeatureRows:
     """The rows of ``apply_feature_map(fm, samples, dtype)``, mapped when indexed.
 
     ``rows[idx]`` is ``apply_feature_map(fm, samples[idx], dtype)`` and holds
-    only the rows asked for.  It has the bits of the same rows of the stored
-    n x d matrix wherever BLAS computes each row of a product alike whatever
-    the number of rows: on OpenBLAS, at d = 1024 for two or more rows.  A
-    single row (a matrix-vector product) or a small product (such as d = 16
-    with D = 50) may round differently in the last bit.
+    only the rows asked for.  Both map in blocks of two or more rows, so a key
+    of two or more rows has the bits of the same rows of the stored n x d
+    matrix wherever BLAS computes each row of a product alike whatever the
+    number of rows: on OpenBLAS, at d = 1024.  A single row (a matrix-vector
+    product) or a small product (such as d = 64 with D = 33) may round
+    differently in the last bit.
     """
 
     def __init__(self, fm, samples, dtype=float):
@@ -325,22 +378,69 @@ class FeatureRows:
         self.samples = samples
         self.dtype = np.dtype(dtype)
         self.shape = (samples.shape[0], fm.dim)
+        self._wb = _augmented_frequencies(fm, self.dtype)
 
     def __getitem__(self, idx):
-        return apply_feature_map(self.fm, self.samples[idx], self.dtype)
+        return _map_rows(self.fm, self._wb, self.samples[idx])
+
+
+def spare_cpu():
+    """Whether a helper thread here would have a CPU of its own.
+
+    True when the process may run on more than one CPU and is not a
+    multiprocessing worker, whose pool already spreads its work over the CPUs.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    # a process that never imported multiprocessing is not one of its workers
+    mp = sys.modules.get("multiprocessing")
+    return cpus > 1 and (mp is None or mp.parent_process() is None)
 
 
 def mean_feature_map(fm, X, dtype=float):
     """Mean of ``apply_feature_map(fm, X, dtype)`` over the rows of X, in that dtype.
 
-    Rows are mapped MEAN_CHUNK_ROWS at a time and summed in float64, so the
-    n x d feature matrix is never stored: extra memory is one chunk.
+    Rows are mapped MEAN_CHUNK_ROWS at a time into one reused buffer, each
+    chunk is summed in float64 and the chunk sums are added in chunk order, so
+    the n x d feature matrix is never stored.  When ``spare_cpu()``, the
+    second half of the chunks is mapped on a helper thread, joined before
+    this returns; its sums are added after the first half's, so the result
+    has the same bits whether or not the pass is split.  Until then they are
+    held: d float64s per two chunks, 7.8 MB for a million rows at d = 1024.
     """
     X = np.asarray(X)
     if X.ndim != 2 or X.shape[0] == 0:
         raise InvalidInputError("X must be a nonempty n x D sample matrix")
-    rows = FeatureRows(fm, X, dtype)
+    wb = _augmented_frequencies(fm, dtype)
+    starts = range(0, X.shape[0], MEAN_CHUNK_ROWS)
+
+    def chunk_sums(part):
+        # mapped: a helper thread's malloc'd buffer would stay resident in its arena
+        buf = mapped_empty((min(X.shape[0], MEAN_CHUNK_ROWS), fm.dim), wb.dtype)
+        for start in part:
+            rows = X[start : start + MEAN_CHUNK_ROWS]
+            yield _map_rows(fm, wb, rows, buf[: len(rows)]).sum(axis=0, dtype=np.float64)
+
+    half = len(starts) // 2 if len(starts) > 1 and spare_cpu() else len(starts)
+    later, failed = [], []
+
+    def map_later_half():
+        try:
+            later.extend(chunk_sums(starts[half:]))
+        except Exception as exc:  # raised again in the calling thread
+            failed.append(exc)
+
+    helper = threading.Thread(target=map_later_half) if half < len(starts) else None
     total = np.zeros(fm.dim)
-    for start in range(0, X.shape[0], MEAN_CHUNK_ROWS):
-        total += rows[start : start + MEAN_CHUNK_ROWS].sum(axis=0, dtype=np.float64)
+    if helper is not None:
+        helper.start()
+    try:
+        for chunk_sum in chunk_sums(starts[:half]):
+            total += chunk_sum
+    finally:
+        if helper is not None:
+            helper.join()
+    if failed:
+        raise failed[0]
+    for chunk_sum in later:
+        total += chunk_sum
     return (total / X.shape[0]).astype(dtype)

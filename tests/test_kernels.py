@@ -1,4 +1,9 @@
+import multiprocessing
+import os
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -6,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist, pdist
 
-from kernelkl import InvalidInputError
+from kernelkl import InvalidInputError, kernels
 from kernelkl.kernels import (
     CHOLESKY_TOL,
     DISTANCE_BLOCK_ROWS,
+    MAP_BLOCK_ROWS,
     MAX_GRAM_ROWS,
     MEAN_CHUNK_ROWS,
     FeatureRows,
@@ -24,6 +30,7 @@ from kernelkl.kernels import (
     pivoted_cholesky,
     rbf_kernel,
     sample_feature_map,
+    spare_cpu,
     sq_distances,
 )
 
@@ -238,6 +245,89 @@ class TestMeanFeatureMap:
         with pytest.raises(InvalidInputError):
             mean_feature_map(fm, np.zeros((0, 2)))
 
+    @staticmethod
+    def spy_on_threads(monkeypatch, split):
+        monkeypatch.setattr(kernels, "spare_cpu", lambda: split)
+        started = []
+
+        class Spy(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Spy)
+        return started
+
+    # one row, one block, one chunk, a chunk and a row, eight chunks and a row
+    @pytest.mark.parametrize("n", [1, MAP_BLOCK_ROWS, MEAN_CHUNK_ROWS, MEAN_CHUNK_ROWS + 1, 4097])
+    @pytest.mark.parametrize("split", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_chunk_sums_in_order_bit_for_bit(self, monkeypatch, n, split, dtype):
+        started = self.spy_on_threads(monkeypatch, split)
+        fm = sample_feature_map(2, 1024, KernelSpec(0.7), seed=2)
+        X = np.random.default_rng(n).normal(size=(n, 2))
+        got = mean_feature_map(fm, X, dtype=dtype)
+        # each 512-row chunk mapped whole as cos(x W' + b) * sqrt(2/d), summed
+        # in float64, and the chunk sums added in chunk order
+        total = np.zeros(1024)
+        for start in range(0, n, MEAN_CHUNK_ROWS):
+            chunk = TestFeatureMap.reference(
+                fm, X[start : start + MEAN_CHUNK_ROWS], dtype, dtype(np.sqrt(2.0 / 1024))
+            )
+            total += chunk.sum(axis=0, dtype=np.float64)
+        assert got.tobytes() == (total / n).astype(dtype).tobytes()
+        assert len(started) == (1 if split and n > MEAN_CHUNK_ROWS else 0)
+
+    def test_no_thread_outlives_the_call(self, monkeypatch):
+        started = self.spy_on_threads(monkeypatch, True)
+        fm = sample_feature_map(2, 64, KernelSpec(0.7), seed=2)
+        before = threading.active_count()
+        mean_feature_map(fm, np.random.default_rng(0).normal(size=(4097, 2)), dtype=np.float32)
+        assert len(started) == 1 and not started[0].is_alive()
+        assert threading.active_count() == before
+
+    def test_error_on_the_helper_thread_is_raised(self, monkeypatch):
+        self.spy_on_threads(monkeypatch, True)
+        fm = sample_feature_map(2, 64, KernelSpec(0.7), seed=2)
+        X = np.zeros((4097, 2), dtype=object)
+        X[-1, 0] = "not a number"  # only the second half of the chunks fails
+        before = threading.active_count()
+        with pytest.raises(ValueError):
+            mean_feature_map(fm, X, dtype=np.float32)
+        assert threading.active_count() == before
+
+    def test_concurrent_calls_under_fast_switching(self, monkeypatch):
+        # four callers, each with its own helper: eight threads on fewer cores
+        monkeypatch.setattr(kernels, "spare_cpu", lambda: True)
+        fm = sample_feature_map(2, 64, KernelSpec(0.7), seed=2)
+        Xs = [np.random.default_rng(i).normal(size=(4097, 2)) for i in range(4)]
+        expected = [mean_feature_map(fm, X, dtype=np.float64).tobytes() for X in Xs]
+        got = [None] * len(Xs)
+
+        def call(i):
+            got[i] = mean_feature_map(fm, Xs[i], dtype=np.float64).tobytes()
+
+        callers = [threading.Thread(target=call, args=(i,)) for i in range(len(Xs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert got == expected
+
+    @pytest.mark.parametrize("method", [None, "spawn"])
+    def test_multiprocessing_worker_does_not_split(self, method):
+        # None: the default context, the one ``kernelkl benchmark --jobs`` uses
+        context = multiprocessing.get_context(method)
+        with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
+            assert pool.submit(spare_cpu).result(timeout=60) is False
+        assert spare_cpu() is (len(os.sched_getaffinity(0)) > 1)
+
 
 class TestFeatureMap:
     def test_deterministic(self):
@@ -359,6 +449,20 @@ class TestFeatureRows:
         for key in (draws, draws[:2], draws[:64], slice(100, 612), slice(None)):
             assert rows[key].tobytes() == stored[key].tobytes()
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rows_equal_stored_rows_at_block_edges(self, dim, dtype):
+        # the stored matrix ends in a one-row tail, which joins the block before
+        # it; a minibatch of a block and a row does the same; two rows make the
+        # smallest block
+        fm = sample_feature_map(dim, 1024, KernelSpec(0.6 * np.sqrt(dim)), seed=dim)
+        Y = np.random.default_rng(dim).normal(size=(5 * MAP_BLOCK_ROWS + 1, dim))
+        stored = apply_feature_map(fm, Y, dtype=dtype)
+        rows = FeatureRows(fm, Y, dtype)
+        draws = np.random.default_rng(1).integers(0, len(Y), size=MAP_BLOCK_ROWS + 1)
+        for key in (slice(None), draws, draws[:2]):
+            assert rows[key].tobytes() == stored[key].tobytes()
+
 
 class TestMedianHeuristic:
     def test_deterministic(self):
@@ -390,7 +494,7 @@ class TestMedianHeuristic:
 
     def test_subsample_is_gathered_without_stacking_the_samples(self):
         # stacking 1M pooled rows of D = 4 would take 32 MB; the 1000-point
-        # distances and their partitioned copy take 8 MB
+        # distances (4 MB) are memory-mapped, outside tracemalloc's count
         rng = np.random.default_rng(5)
         X, Y = rng.normal(size=(600_000, 4)), rng.normal(size=(400_000, 4))
         tracemalloc.start()
@@ -400,6 +504,19 @@ class TestMedianHeuristic:
         finally:
             tracemalloc.stop()
         assert peak < 0.5 * (X.nbytes + Y.nbytes)
+
+    def test_distances_are_partitioned_in_place(self):
+        # the 499 500 squared distances of 1000 points (4 MB) are memory-mapped,
+        # outside tracemalloc's count; a partitioned copy of them would add 4 MB
+        rng = np.random.default_rng(6)
+        X, Y = rng.normal(size=(600_000, 1)), rng.normal(size=(400_000, 1))
+        tracemalloc.start()
+        try:
+            median_heuristic_bandwidth(X, Y, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
     @pytest.mark.parametrize("pooled", [2, 3, 7, 8, 131])
     def test_equals_median_of_pdist_odd_and_even_pair_counts(self, pooled):
