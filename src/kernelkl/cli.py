@@ -7,7 +7,6 @@ Values are reported in nats unless --bits converts the display.
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict, replace
 
@@ -108,7 +107,7 @@ def _emit_estimate(result, args, label):
             "iterations": int(result.iterations),
             "degenerate": bool(result.degenerate),
             "sample_sizes": list(result.sample_sizes),
-            "bandwidth": None if np.isnan(result.bandwidth) else result.bandwidth,
+            "bandwidth": result.bandwidth,
             "config": config,
         }
         _write_output(json.dumps(payload, indent=2) + "\n", args.out)
@@ -235,7 +234,13 @@ def build_parser():
     p_bench.add_argument("--rhos", type=_list_of(float), default=(0.2, 0.5, 0.9))
     p_bench.add_argument("--n", type=int, default=100_000)
     p_bench.add_argument("--trials", type=int, default=20)
-    p_bench.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p_bench.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="worker processes (default 1).  Each worker's BLAS already uses every core, so more "
+        "than one pays off only for MINE-only grids",
+    )
     p_bench.add_argument("--format", dest="report_format", choices=["csv", "json", "table"], default="table")
     p_bench.add_argument("--out", default=None)
     _add_estimator_flags(p_bench)

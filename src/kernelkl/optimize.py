@@ -23,12 +23,12 @@ iterate, which damps minibatch noise.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from .errors import InvalidInputError, NumericalFailureError
 from .kernels import FeatureRows, pivoted_cholesky
-from .objective import DualWeights, PrimalWeights, dv_value_and_weights
+from .objective import dv_value_and_weights
 
 DEFAULT_NORM_BUDGET = 10.0
 CONVERGENCE_WINDOW = 10
@@ -64,7 +64,7 @@ class OptimizationTrace:
     kl_values: np.ndarray
     converged: bool
     iterations: int
-    estimate: float = field(default=float("nan"))
+    estimate: float
 
 
 def _require_finite_norm(norm):
@@ -128,7 +128,7 @@ def ascend(step, weights, cfg):
 
 
 def run_primal(mean_phi_x, PhiY, cfg):
-    """Optimize the feature parameterization; per-step cost is O(minibatch * d).
+    """Optimize the feature parameterization, O(minibatch * d) per step; returns (beta, OptimizationTrace).
 
     ``mean_phi_x`` is the mean feature vector of the P-samples (see
     ``kernels.mean_feature_map``, or the P rows of a pivoted Cholesky factor)
@@ -161,12 +161,11 @@ def run_primal(mean_phi_x, PhiY, cfg):
 
     # an overflowing step is reported by the projection, not by numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        beta, trace = ascend(step, np.zeros(PhiY.shape[1], dtype=dtype), cfg)
-    return PrimalWeights(beta=beta, norm_budget=cfg.norm_budget), trace
+        return ascend(step, np.zeros(PhiY.shape[1], dtype=dtype), cfg)
 
 
 def run_dual(K, cfg):
-    """Optimize the Gram parameterization; returns (DualWeights, OptimizationTrace).
+    """Optimize the Gram parameterization; returns (alpha, OptimizationTrace).
 
     ``run_primal`` on the exact-kernel features of the pivoted Cholesky
     factor K = L L' (``kernels.pivoted_cholesky``): the witness on the
@@ -175,7 +174,7 @@ def run_dual(K, cfg):
     alpha' K alpha = ||gamma||^2.  Deterministic given cfg.seed.
     """
     L, pivots = pivoted_cholesky(lambda i: K.entries[:, i], K.size, K.size)
-    weights, trace = run_primal(L[: K.n].mean(axis=0), L[K.n :], cfg)
+    gamma, trace = run_primal(L[: K.n].mean(axis=0), L[K.n :], cfg)
     alpha = np.zeros(K.size)
-    alpha[pivots] = np.linalg.solve(L[pivots].T, weights.beta)
-    return DualWeights(alpha=alpha, norm_budget=cfg.norm_budget), trace
+    alpha[pivots] = np.linalg.solve(L[pivots].T, gamma)
+    return alpha, trace

@@ -107,8 +107,8 @@ def test_06_convexity_suite():
         K = build_gram(X, Y, KernelSpec(1.0))
         a1, a2 = rng.normal(size=20), rng.normal(size=20)
         lam = rng.uniform()
-        mid = dual_objective(lam * a1 + (1 - lam) * a2, K).g
-        chord = lam * dual_objective(a1, K).g + (1 - lam) * dual_objective(a2, K).g
+        mid = dual_objective(lam * a1 + (1 - lam) * a2, K)
+        chord = lam * dual_objective(a1, K) + (1 - lam) * dual_objective(a2, K)
         worst = max(worst, mid - chord)
     report("06 convexity-suite", worst <= 1e-9, f"max convexity violation {worst:.2e}, tol 1e-9")
 
@@ -133,14 +133,14 @@ def test_07_gradient_suite():
         X, Y = rng.normal(size=(4, 1)), rng.normal(size=(4, 1))
         K = build_gram(X, Y, KernelSpec(1.0))
         a = rng.normal(scale=0.5, size=8)
-        worst = max(worst, _rel_err(dual_gradient(a, K), _fd(lambda v: dual_objective(v, K).g, a)))
+        worst = max(worst, _rel_err(dual_gradient(a, K), _fd(lambda v: dual_objective(v, K), a)))
     for i in range(17):  # primal
         PhiX = rng.normal(scale=0.4, size=(5, 6))
         PhiY = rng.normal(scale=0.4, size=(5, 6))
         b = rng.normal(scale=0.5, size=6)
         worst = max(
             worst,
-            _rel_err(primal_gradient(b, PhiX, PhiY), _fd(lambda v: primal_objective(v, PhiX, PhiY).g, b)),
+            _rel_err(primal_gradient(b, PhiX, PhiY), _fd(lambda v: primal_objective(v, PhiX, PhiY), b)),
         )
     for i in range(16):  # neural witness
         p = init_params(2, 3, seed=int(rng.integers(1 << 31)))
@@ -170,7 +170,7 @@ def test_08_representer_consistency():
         tx = np.array([T(x) for x in X])
         ty = np.array([T(y) for y in Y])
         direct = np.log(np.mean(np.exp(ty))) - np.mean(tx)
-        worst = max(worst, abs(dual_objective(alpha, K).g - direct))
+        worst = max(worst, abs(dual_objective(alpha, K) - direct))
     report("08 representer-consistency", worst <= 1e-10, f"max abs diff {worst:.2e}, tol 1e-10")
 
 

@@ -17,7 +17,7 @@ from kernelkl import (
     run_benchmark,
     sample_gaussian_pairs,
 )
-from kernelkl.cli import main
+from kernelkl.cli import build_parser, main
 from kernelkl.datasets import read_csv_dataset, resolve_columns, write_csv_dataset
 from kernelkl.mine import MINE_OPTIMIZER
 
@@ -365,6 +365,16 @@ class TestEstimateMi:
         assert code == 0
         assert json.loads(out)["value"] >= 0
 
+    def test_identical_rows_report_a_degenerate_zero(self, tmp_path, capsys):
+        path = tmp_path / "pairs.csv"
+        write_csv_dataset(path, ["x", "y"], np.tile([1.5, -2.0], (20, 1)))
+        code, out, _ = run_cli(capsys, "estimate-mi", "--data", str(path),
+                               "--x-cols", "x", "--y-cols", "y", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["value"], payload["degenerate"], payload["bandwidth"]) == (0.0, True, 1.0)
+        assert (payload["iterations"], payload["converged"]) == (0, True)
+
 
 class TestBenchmarkCommand:
     ARGS = ["benchmark", "--estimators", "kkle", "--dims", "1", "--rhos", "0.5",
@@ -429,6 +439,10 @@ class TestBenchmarkCommand:
         # the step used to reach only the kernel rows: MINE reported an ordinary row
         row = self.mine_row(capsys, "--step", "1e308", "--max-iter", "5")
         assert row["failures"] == 2 and row["failed"]
+
+    def test_jobs_defaults_to_one_process(self):
+        # pool workers each run multi-threaded BLAS, which oversubscribes the cores
+        assert build_parser().parse_args(["benchmark"]).jobs == 1
 
     def test_unknown_estimator_exit_one(self, capsys):
         code, _, err = run_cli(capsys, "benchmark", "--estimators", "magic",

@@ -72,9 +72,7 @@ class TestDvValueAndWeights:
 class TestDualObjective:
     def test_zero_weights(self):
         _, _, K, _ = random_instance(4, 5)
-        val = dual_objective(np.zeros(K.size), K)
-        assert val.g == 0.0
-        assert val.kl_estimate == 0.0
+        assert dual_objective(np.zeros(K.size), K) == 0.0
 
     def test_coincident_samples_any_alpha(self):
         Z = np.zeros((3, 1))
@@ -82,7 +80,7 @@ class TestDualObjective:
         rng = np.random.default_rng(1)
         for _ in range(5):
             alpha = rng.normal(size=6)
-            assert dual_objective(alpha, K).g == pytest.approx(0.0, abs=1e-12)
+            assert dual_objective(alpha, K) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_representer_expansion(self):
         # T(z) = sum_i alpha_i k(z_i, z), evaluated entirely without the Gram matrix
@@ -98,13 +96,7 @@ class TestDualObjective:
             tx = np.array([T(x) for x in X])
             ty = np.array([T(y) for y in Y])
             direct = np.log(np.mean(np.exp(ty))) - np.mean(tx)
-            assert dual_objective(alpha, K).g == pytest.approx(direct, abs=1e-10)
-
-    def test_kl_estimate_is_negated_g(self):
-        _, _, K, rng = random_instance(4, 4, seed=2)
-        alpha = rng.normal(size=8)
-        val = dual_objective(alpha, K)
-        assert val.kl_estimate == -val.g
+            assert dual_objective(alpha, K) == pytest.approx(direct, abs=1e-10)
 
     def test_dimension_mismatch(self):
         _, _, K, _ = random_instance(3, 3)
@@ -129,7 +121,7 @@ class TestDualGradient:
         pw = 1e-2
 
         def f(a):
-            return dual_objective(a, K).g + pw * a @ K.entries @ a
+            return dual_objective(a, K) + pw * a @ K.entries @ a
 
         grad = dual_gradient(alpha, K, penalty_weight=pw)
         fd = finite_difference(f, alpha)
@@ -168,22 +160,21 @@ class TestPrimalObjective:
         self.rng = rng
 
     def test_zero_weights(self):
-        assert primal_objective(np.zeros(8), self.PhiX, self.PhiY).g == 0.0
+        assert primal_objective(np.zeros(8), self.PhiX, self.PhiY) == 0.0
 
     def test_identical_features_nonpositive_estimate(self):
         # Jensen: log-mean-exp >= mean, so g >= 0 and the estimate <= 0
         for _ in range(10):
             beta = self.rng.normal(size=8)
-            val = primal_objective(beta, self.PhiX, self.PhiX)
-            assert val.kl_estimate <= 1e-12
-        assert primal_objective(np.zeros(8), self.PhiX, self.PhiX).kl_estimate == 0.0
+            assert -primal_objective(beta, self.PhiX, self.PhiX) <= 1e-12
+        assert -primal_objective(np.zeros(8), self.PhiX, self.PhiX) == 0.0
 
     def test_matches_direct_summation(self):
         beta = self.rng.normal(size=8)
         direct = np.log(np.mean([np.exp(beta @ phi) for phi in self.PhiY])) - np.mean(
             [beta @ phi for phi in self.PhiX]
         )
-        assert primal_objective(beta, self.PhiX, self.PhiY).g == pytest.approx(direct, abs=1e-12)
+        assert primal_objective(beta, self.PhiX, self.PhiY) == pytest.approx(direct, abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidInputError):
@@ -200,7 +191,7 @@ class TestPrimalGradient:
         pw = 1e-2
 
         def f(b):
-            return primal_objective(b, PhiX, PhiY).g + pw * b @ b
+            return primal_objective(b, PhiX, PhiY) + pw * b @ b
 
         grad = primal_gradient(beta, PhiX, PhiY, penalty_weight=pw)
         fd = finite_difference(f, beta)
@@ -230,8 +221,8 @@ def test_dual_convexity_property(seed, lam):
     K = build_gram(X, Y, KernelSpec(1.0))
     a1 = rng.normal(size=8)
     a2 = rng.normal(size=8)
-    mid = dual_objective(lam * a1 + (1 - lam) * a2, K).g
-    chord = lam * dual_objective(a1, K).g + (1 - lam) * dual_objective(a2, K).g
+    mid = dual_objective(lam * a1 + (1 - lam) * a2, K)
+    chord = lam * dual_objective(a1, K) + (1 - lam) * dual_objective(a2, K)
     assert mid <= chord + 1e-9
 
 
@@ -243,8 +234,8 @@ def test_primal_convexity_property(seed, lam):
     PhiY = rng.normal(scale=0.5, size=(4, 5))
     b1 = rng.normal(size=5)
     b2 = rng.normal(size=5)
-    mid = primal_objective(lam * b1 + (1 - lam) * b2, PhiX, PhiY).g
-    chord = lam * primal_objective(b1, PhiX, PhiY).g + (1 - lam) * primal_objective(b2, PhiX, PhiY).g
+    mid = primal_objective(lam * b1 + (1 - lam) * b2, PhiX, PhiY)
+    chord = lam * primal_objective(b1, PhiX, PhiY) + (1 - lam) * primal_objective(b2, PhiX, PhiY)
     assert mid <= chord + 1e-9
 
 
@@ -255,11 +246,11 @@ def test_shift_invariance_of_functional():
     PhiX = rng.normal(size=(6, 4))
     PhiY = rng.normal(size=(7, 4))
     beta = rng.normal(size=4)
-    base = primal_objective(beta, PhiX, PhiY).g
+    base = primal_objective(beta, PhiX, PhiY)
     c = 2.71
     PhiX_aug = np.hstack([PhiX, np.ones((6, 1))])
     PhiY_aug = np.hstack([PhiY, np.ones((7, 1))])
-    shifted = primal_objective(np.append(beta, c), PhiX_aug, PhiY_aug).g
+    shifted = primal_objective(np.append(beta, c), PhiX_aug, PhiY_aug)
     assert shifted == pytest.approx(base, abs=1e-10)
 
 

@@ -168,8 +168,8 @@ class TestRunDual:
     def test_feasibility_throughout(self):
         X, Y, K = small_problem(seed=5, shift=2.0)
         cfg = OptimizerConfig(step_size=1.0, max_iter=150, norm_budget=0.5)
-        weights, _ = run_dual(K, cfg)
-        assert weights.alpha @ K.entries @ weights.alpha <= 0.5**2 + 1e-9
+        alpha, _ = run_dual(K, cfg)
+        assert alpha @ K.entries @ alpha <= 0.5**2 + 1e-9
 
     def test_monotone_descent_full_batch(self):
         # penalized objective non-increasing for a conservative full-batch step
@@ -178,7 +178,7 @@ class TestRunDual:
         pw = cfg.penalty_weight
 
         def penalized(a):
-            return dual_objective(a, K).g + pw * a @ K.entries @ a
+            return dual_objective(a, K) + pw * a @ K.entries @ a
 
         alpha = np.zeros(K.size)
         prev = penalized(alpha)
@@ -201,19 +201,18 @@ class TestRunDual:
             penalty_weight=0.05,
             norm_budget=100.0,
         )
-        weights, _ = run_dual(K, cfg)
-        assert weights.alpha @ K.entries @ weights.alpha < cfg.norm_budget**2  # interior
-        grad = dual_gradient(weights.alpha, K, penalty_weight=cfg.penalty_weight)
+        alpha, _ = run_dual(K, cfg)
+        assert alpha @ K.entries @ alpha < cfg.norm_budget**2  # interior
+        grad = dual_gradient(alpha, K, penalty_weight=cfg.penalty_weight)
         assert np.linalg.norm(grad) <= 1e-4
 
     @pytest.mark.parametrize("minibatch", [8, 512])
     def test_alpha_reproduces_the_feature_witness(self, minibatch):
         X, Y, K = small_problem(seed=15)
         cfg = OptimizerConfig(max_iter=100, minibatch=minibatch, seed=3)
-        weights, trace = run_dual(K, cfg)
+        alpha, trace = run_dual(K, cfg)
         L, pivots = pivoted_cholesky(lambda i: K.entries[:, i], K.size, K.size)
-        primal, primal_trace = run_primal(L[: K.n].mean(axis=0), L[K.n :], cfg)
-        gamma, alpha = primal.beta, weights.alpha
+        gamma, primal_trace = run_primal(L[: K.n].mean(axis=0), L[K.n :], cfg)
         assert np.array_equal(trace.kl_values, primal_trace.kl_values)
         assert np.count_nonzero(alpha) <= len(pivots)
         np.testing.assert_allclose(K.entries @ alpha, L @ gamma, rtol=0, atol=1e-9)
@@ -255,8 +254,8 @@ class TestRunPrimal:
         X = rng.normal(size=(50, 1))
         Y = rng.normal(loc=3.0, size=(50, 1))
         PhiX, PhiY = self.features(X, Y)
-        weights, _ = run_primal(PhiX.mean(axis=0), PhiY, OptimizerConfig(step_size=2.0, max_iter=200, norm_budget=1.0))
-        assert np.linalg.norm(weights.beta) <= 1.0 + 1e-9
+        beta, _ = run_primal(PhiX.mean(axis=0), PhiY, OptimizerConfig(step_size=2.0, max_iter=200, norm_budget=1.0))
+        assert np.linalg.norm(beta) <= 1.0 + 1e-9
 
     def test_agrees_with_dual_on_gaussian_kl(self):
         # dual path as oracle for the feature-space approximation
@@ -282,10 +281,10 @@ class TestRunPrimal:
         cfg = OptimizerConfig(max_iter=60, minibatch=minibatch, seed=seed)
         stored = run_primal(mean_phi_x, apply_feature_map(fm, Y, dtype=np.float32), cfg)
         streamed = run_primal(mean_phi_x, FeatureRows(fm, Y, np.float32), cfg)
-        for weights, _ in (stored, streamed):
+        for beta, _ in (stored, streamed):
             # a float64 scalar anywhere in the step would make beta float64 (NEP 50)
-            assert weights.beta.dtype == np.float32
-        assert stored[0].beta.tobytes() == streamed[0].beta.tobytes()
+            assert beta.dtype == np.float32
+        assert stored[0].tobytes() == streamed[0].tobytes()
         assert stored[1].kl_values.tobytes() == streamed[1].kl_values.tobytes()
         assert stored[1].estimate == streamed[1].estimate and stored[1].iterations == streamed[1].iterations
 
@@ -295,6 +294,6 @@ class TestRunPrimal:
         Y = rng.normal(loc=0.5, size=(30, 1))
         PhiX, PhiY = self.features(X, Y, d=64)
         cfg = OptimizerConfig(step_size=0.5, max_iter=5000, minibatch=1000, gamma=1e-12, penalty_weight=1e-3)
-        weights, _ = run_primal(PhiX.mean(axis=0), PhiY, cfg)
-        grad = primal_gradient(weights.beta, PhiX, PhiY, penalty_weight=cfg.penalty_weight)
+        beta, _ = run_primal(PhiX.mean(axis=0), PhiY, cfg)
+        grad = primal_gradient(beta, PhiX, PhiY, penalty_weight=cfg.penalty_weight)
         assert np.linalg.norm(grad) <= 1e-4
