@@ -17,7 +17,7 @@ def main():
     n = 20_000
     X = rng.normal(size=(n, 1))
 
-    print("Primal path (random Fourier features), N = 20000 per side:")
+    print("Primal path (landmark features), N = 20000 per side:")
     r = estimate_kl(X, rng.normal(loc=1.0, size=(n, 1)))
     show("KL(N(0,1) || N(1,1))", r.kl_estimate, analytic_gaussian_kl(0, 1, 1, 1))
 

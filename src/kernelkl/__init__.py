@@ -1,8 +1,9 @@
 """Kernel-machine estimation of KL divergence and mutual information.
 
 The estimator maximizes the Donsker-Varadhan lower bound over an RKHS norm
-ball, solved as a convex problem either over Gram-matrix coefficients or over
-random Fourier feature coordinates.  A one-hidden-layer neural baseline, a
+ball, solved as a convex problem over the coordinates of exact-kernel
+features: landmark (Nystrom) features, or in dual mode the rows of a pivoted
+Cholesky factor of the Gram matrix.  A one-hidden-layer neural baseline, a
 bias/RMSE/variance benchmark harness, and MI-based fairness metrics round out
 the package.
 

@@ -33,7 +33,7 @@ def _add_estimator_flags(parser):
         "--features",
         type=int,
         default=defaults.feature_dim,
-        help="number of random Fourier features (primal), or the most pivoted-Cholesky features (dual)",
+        help="rank cap: the most landmarks (primal) or pivoted-Cholesky features (dual)",
     )
     parser.add_argument("--bandwidth", default="median", help="kernel length scale, or 'median'")
     # unset optimizer flags stay None, so each estimator keeps its own defaults

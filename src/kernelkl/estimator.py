@@ -1,13 +1,13 @@
 """User-facing divergence and mutual-information estimation.
 
 KL divergence between two sample sets is estimated by maximizing the
-Donsker-Varadhan bound over an RKHS norm ball, on one of two feature maps:
-random Fourier features (the default, linear in the pooled sample count) or,
-in dual mode, the exact-kernel features of a pivoted Cholesky factor of the
-Gram matrix, which is never formed.  Both run the same optimizer.  Mutual
-information is the KL divergence between the joint sample and a
-product-of-marginals surrogate obtained by permuting the y-block within the
-same rows.
+Donsker-Varadhan bound over an RKHS norm ball, on exact-kernel features of
+one of two kinds: landmark (Nystrom) features (the default, linear in the
+pooled sample count), or, in dual mode, the rows of a pivoted Cholesky factor
+of the Gram matrix over all pooled samples, which is never formed.  Both run
+the same optimizer.  Mutual information is the KL divergence between the
+joint sample and a product-of-marginals surrogate obtained by permuting the
+y-block within the same rows.
 """
 
 from dataclasses import dataclass, field, replace
@@ -17,16 +17,16 @@ import numpy as np
 from .errors import InvalidInputError
 from .kernels import (
     DEFAULT_FEATURE_DIM,
-    FeatureRows,
+    KernelRows,
     KernelSpec,
-    apply_feature_map,
     as_sample_pair,
+    kernel_rows,
     kernel_values,
     mapped_empty,
-    mean_feature_map,
+    mean_landmark_features,
     median_heuristic_bandwidth,
     pivoted_cholesky,
-    sample_feature_map,
+    sample_landmarks,
 )
 from .optimize import OptimizationTrace, OptimizerConfig, run_primal
 
@@ -41,14 +41,12 @@ def derive_seed(seed, tag):
     return int(np.random.SeedSequence(entropy=(int(seed) & (2**63 - 1), int(tag))).generate_state(1)[0])
 
 
-#: Largest Q-side feature matrix ``estimate_kl`` stores: 256 MiB, 65 536 rows at
-#: d = 1024 in float32.  Storing maps each row once, so its cost grows with m;
-#: streaming (``kernels.FeatureRows``) maps every minibatch when it is drawn,
-#: 0.3-0.6 s per 500 steps of 512 rows on a 2-core VM whose speed varied
-#: twofold, whatever m, and holds one minibatch.  Measured there (D = 2), the
-#: two were within 11% of each other from 50k to 70k rows, either one ahead
-#: at 65 536, and streaming was faster from 80k.
-MAX_STORED_FEATURE_BYTES = 256 * 2**20
+#: Largest Q-side kernel-row matrix ``estimate_kl`` stores: 48 MiB, 24 576
+#: rows at r = 512 in float32.  Storing makes each row once; streaming
+#: (``kernels.KernelRows``) makes every minibatch when drawn and holds one.  On
+#: a 2-core VM, 20k-row MI runs at D = 3 and 5 (41 MB) were slower than 1024
+#: random features when streamed; a 100k-row run at D = 1 + 1 (72 MB) streams.
+MAX_STORED_KERNEL_BYTES = 48 * 2**20
 
 #: Multiplier on the median-heuristic bandwidth.  The plain median is
 #: too smooth for strongly peaked density ratios (high-correlation MI tasks
@@ -60,7 +58,7 @@ DEFAULT_BANDWIDTH_SCALE = 0.5
 @dataclass(frozen=True)
 class EstimatorConfig:
     mode: str = "primal"
-    feature_dim: int = DEFAULT_FEATURE_DIM  # at most this many features, in either mode
+    feature_dim: int = DEFAULT_FEATURE_DIM  # the most landmarks (primal) or pivoted-Cholesky features (dual)
     bandwidth: float | None = None  # None selects the scaled median heuristic
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
 
@@ -138,20 +136,19 @@ def estimate_kl(X, Y, cfg=None):
         L, _ = pivoted_cholesky(
             lambda i: kernel_values(pooled, pooled[i : i + 1], spec)[:, 0], pooled.shape[0], cfg.feature_dim
         )
-        mean_phi_x, PhiY = L[: X.shape[0]].mean(axis=0), L[X.shape[0] :]
+        mean_phi_x, PhiY, whitener = L[: X.shape[0]].mean(axis=0), L[X.shape[0] :], None
     else:
-        fm = sample_feature_map(X.shape[1], cfg.feature_dim, spec, seed=derive_seed(seed, _FEATURES_TAG))
-        # float32 features: halves memory traffic at large n, well inside estimator noise.
         # The bound is linear in beta on P, so P enters only through its mean
-        # embedding.  Q is stored when a full batch touches every row each step
-        # or the matrix is small; otherwise each minibatch is mapped when drawn.
-        mean_phi_x = mean_feature_map(fm, X, dtype=np.float32)
+        # embedding.  Q is stored when a full batch touches every row each
+        # step or the matrix is small; otherwise each minibatch is made when drawn.
+        landmarks = sample_landmarks(X, Y, spec, cfg.feature_dim, seed=derive_seed(seed, _FEATURES_TAG))
+        mean_phi_x, whitener = mean_landmark_features(landmarks, X), landmarks.whitener
         m = Y.shape[0]
-        if opt_cfg.minibatch >= m or m * fm.dim * np.dtype(np.float32).itemsize <= MAX_STORED_FEATURE_BYTES:
-            PhiY = apply_feature_map(fm, Y, dtype=np.float32, out=mapped_empty((m, fm.dim), np.float32))
+        if opt_cfg.minibatch >= m or m * landmarks.rank * np.dtype(np.float32).itemsize <= MAX_STORED_KERNEL_BYTES:
+            PhiY = kernel_rows(landmarks, Y, out=mapped_empty((m, landmarks.rank), np.float32))
         else:
-            PhiY = FeatureRows(fm, Y, np.float32)
-    _, trace = run_primal(mean_phi_x, PhiY, opt_cfg)
+            PhiY = KernelRows(landmarks, Y)
+    _, trace = run_primal(mean_phi_x, PhiY, opt_cfg, whitener)
 
     return EstimateResult(
         kl_estimate=trace.estimate,

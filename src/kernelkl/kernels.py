@@ -1,19 +1,17 @@
-"""Gaussian RBF kernel, Gram matrices, pivoted Cholesky factors, and random Fourier feature maps.
+"""Gaussian RBF kernel, Gram matrices, pivoted Cholesky factors, landmark (Nystrom) and random Fourier features.
 
-The feature map follows Rahimi-Recht: phi_i(x) = sqrt(2/d) * cos(w_i . x + b_i)
-with w_i ~ N(0, sigma^-2 I) and b_i ~ U[0, 2pi), so that phi(x) . phi(y)
-approximates exp(-||x - y||^2 / (2 sigma^2)).  Replacing the (n+m)^2 Gram
-matrix with (n+m) x d features drops the per-step optimization cost from
-quadratic to linear in the pooled sample count.  Every feature row is made
-by one fused pass per block of MAP_BLOCK_ROWS rows: the product
-[x, 1] @ [W'; b], with the offsets folded in as one more row, then cos and the
-scale in place while the block is in cache.  A feature row is a fixed
-function of its sample, so an n x d feature matrix need never be stored:
-``FeatureRows`` maps the rows it is indexed with, and ``mean_feature_map``
-sums chunks of rows, the second half of them on a helper thread when a
-second CPU is free.  The rows of a pivoted Cholesky factor
-K ~= L L' are exact-kernel features of the pooled samples, built from kernel
-columns on demand without forming K.
+The rows of a pivoted Cholesky factor K ~= L L' of the pooled samples are
+exact-kernel features, built from kernel columns on demand without forming K
+(dual mode).  Landmark features (primal mode, Williams & Seeger 2001) extend
+them to any point: pivoted Cholesky on a seeded subsample of the pooled rows
+picks landmarks P, and phi(z) = k(z, P) L_PP^-T, which on the subsample is
+z's row of L.  Rows of k(z, P) are made in float32, one product and one exp
+per block of MAP_BLOCK_ROWS rows, and are a fixed function of their sample,
+so no n x r matrix of them need be stored: ``KernelRows`` makes the rows it
+is indexed with, and ``mean_landmark_features`` sums chunks of rows.  The
+random Fourier feature map of Rahimi & Recht, phi_i(x) = sqrt(2/d) *
+cos(w_i . x + b_i) with w_i ~ N(0, sigma^-2 I), b_i ~ U[0, 2pi), is kept as
+a reference.
 
 Pairwise distances (the median-heuristic bandwidth and the Gram matrix) are
 computed in numpy, one coordinate at a time in coordinate order as
@@ -24,24 +22,24 @@ cost of importing scipy.
 
 import math
 import mmap
-import os
-import sys
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError
 
-DEFAULT_FEATURE_DIM = 1024
-#: Rows per fused product, cos and scale of the feature map: 256 KB at d = 1024
-#: in float32, so a block stays in L2 through all three.  At D <= 3 a block's
-#: product (64 x (D + 1) x 1024 multiply-adds) is below the 4 x 65536 at which
-#: OpenBLAS starts threads of its own, so it runs on the calling thread.
+#: Most landmark features in primal mode, and most pivoted-Cholesky features in
+#: dual mode.  Below D = 3 the factor of a 2000-row pool reaches CHOLESKY_TOL
+#: well before it (rank ~180 at D = 1 + 1); at D = 3 and 5 it stops here.
+DEFAULT_FEATURE_DIM = 512
+#: Rows per product and exp of ``kernel_rows``: 128 KB at r = 512 in float32,
+#: so a block stays in L2 through both.
 MAP_BLOCK_ROWS = 64
-#: Rows ``mean_feature_map`` maps and sums in float64 at a time: 2 MB per chunk
-#: at d = 1024 in float32, the size of a default streamed Q minibatch.
+#: Rows ``mean_landmark_features`` makes and sums in float64 at a time.  At
+#: 4096 rows a 100k-row CLI run's peak RSS rose by 3 MB.
 MEAN_CHUNK_ROWS = 512
+#: Pooled rows ``sample_landmarks`` subsamples to and chooses landmarks from.
+LANDMARK_POOL = 2000
 #: Largest pooled sample count ``build_gram`` accepts.  The float64 Gram matrix
 #: is then 0.8 GB; building it holds that one copy plus one block of rows.
 #: ``pivoted_cholesky`` keeps its factor within the same MAX_GRAM_ROWS**2 entries.
@@ -247,6 +245,19 @@ def pivoted_cholesky(column, size, max_rank):
     return Lt[: len(pivots)].T, np.array(pivots, dtype=np.intp)
 
 
+def pooled_subsample(X, Y, size, seed):
+    """All rows of the pooled [X; Y], or a seeded sample of ``size`` of them without replacement.
+
+    The rows are gathered without stacking the samples.
+    """
+    n, pooled = X.shape[0], X.shape[0] + Y.shape[0]
+    if pooled <= size:
+        idx = np.arange(pooled)
+    else:
+        idx = np.random.default_rng(seed).choice(pooled, size=size, replace=False)
+    return np.where((idx < n)[:, None], X[np.minimum(idx, n - 1)], Y[np.maximum(idx - n, 0)])
+
+
 def median_heuristic_bandwidth(X, Y, seed=0):
     """Median pairwise distance over a subsample of <= BANDWIDTH_POINTS pooled points.
 
@@ -254,14 +265,7 @@ def median_heuristic_bandwidth(X, Y, seed=0):
     coincide (zero median), so downstream code never divides by zero.
     """
     X, Y = as_sample_pair(X, Y)
-    n, pooled = X.shape[0], X.shape[0] + Y.shape[0]
-    if pooled <= BANDWIDTH_POINTS:
-        idx = np.arange(pooled)
-    else:
-        idx = np.random.default_rng(seed).choice(pooled, size=BANDWIDTH_POINTS, replace=False)
-    # rows idx of the pooled [X; Y], gathered without stacking the samples
-    Z = np.where((idx < n)[:, None], X[np.minimum(idx, n - 1)], Y[np.maximum(idx - n, 0)])
-    sq = pair_sq_distances(Z)
+    sq = pair_sq_distances(pooled_subsample(X, Y, BANDWIDTH_POINTS, seed))
     med = 0.0
     if sq.size:
         # np.median(np.sqrt(sq)) bit for bit: sqrt is monotone, so the middle
@@ -289,6 +293,25 @@ def sample_feature_map(input_dim, feature_dim, spec, seed=0):
     return FeatureMap(frequencies=frequencies, offsets=offsets)
 
 
+def apply_feature_map(fm, x, dtype=float, out=None):
+    """Map one D-vector (or an n x D matrix, row-wise) into random Fourier feature space.
+
+    cos(x W' + b) * sqrt(2/d), computed in ``dtype``; ``out``, an n x d array
+    of that dtype, receives the features of a matrix.
+    """
+    x = np.asarray(x)
+    if x.ndim not in (1, 2) or x.shape[-1] != fm.input_dim:
+        raise InvalidInputError(f"input dimension {x.shape} does not match feature map ({fm.input_dim})")
+    dtype = np.dtype(dtype)
+    proj = np.matmul(x.astype(dtype), fm.frequencies.T.astype(dtype), out=out)
+    proj += fm.offsets.astype(dtype)
+    np.cos(proj, out=proj)
+    # a scalar of the array's own dtype: a float64 one would run a float32
+    # array's product in float64 and cast it back (NEP 50)
+    proj *= dtype.type(np.sqrt(2.0 / fm.dim))
+    return proj
+
+
 def mapped_empty(shape, dtype):
     """An uninitialised array in an anonymous memory map of its own, outside the C heap.
 
@@ -304,143 +327,111 @@ def mapped_empty(shape, dtype):
     return np.frombuffer(mmap.mmap(-1, max(size * dtype.itemsize, 1)), dtype=dtype, count=size).reshape(shape)
 
 
-def _augmented_frequencies(fm, dtype):
-    """[W'; b] in ``dtype``: the frequencies with the offsets as one more row, so [x, 1] @ [W'; b] = x W' + b."""
-    wb = np.empty((fm.input_dim + 1, fm.dim), dtype)
-    wb[:-1] = fm.frequencies.T
-    wb[-1] = fm.offsets
-    return wb
+@dataclass(frozen=True)
+class LandmarkMap:
+    """Nystrom features phi(z) = k(z, P) W on landmark rows P, with W = L_PP^-T.
 
-
-def _map_rows(fm, wb, x, out=None):
-    """Features of x (a D-vector or an n x D matrix) in wb's dtype; wb is ``_augmented_frequencies(fm, dtype)``.
-
-    One fused pass per block of MAP_BLOCK_ROWS rows: the product [x, 1] @ [W'; b],
-    then cos and the sqrt(2/d) scale in place while the block is in cache.  The
-    product's last multiply-add, 1 * b, rounds as the separate + b would, so each
-    row of a block of two or more rows has the bits of x W' + b.  A one-row tail
-    joins the block before it; a lone row is a matrix-vector product, which
-    rounds the folded offset differently, so it keeps the product and sum apart.
+    ``centre`` is the mean c of the pool the landmarks were chosen from,
+    ``exponent`` the (D + 2) x r float32 matrix
+    [(P - c)' / s^2; -1 / (2 s^2); -||P - c||^2 / (2 s^2)], so that
+    [z - c, ||z - c||^2, 1] @ exponent = -||z - p||^2 / (2 s^2) for each
+    landmark p, and ``whitener`` the r x r W.  On the pool, phi(z)
+    is z's row of its pivoted Cholesky factor L; anywhere, ||phi(z)|| <= 1.
     """
-    x = np.asarray(x)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.ndim != 2 or x.shape[1] != fm.input_dim:
-        raise InvalidInputError(f"input dimension {x.shape} does not match feature map ({fm.input_dim})")
-    n, dtype = x.shape[0], wb.dtype
+
+    centre: np.ndarray
+    exponent: np.ndarray
+    whitener: np.ndarray
+
+    @property
+    def rank(self):
+        return self.whitener.shape[0]
+
+
+def sample_landmarks(X, Y, spec, max_rank, seed=0):
+    """Landmarks by pivoted Cholesky on a seeded subsample of <= LANDMARK_POOL pooled rows.
+
+    The factor stops at max_rank landmarks or at CHOLESKY_TOL (see
+    ``pivoted_cholesky``); W = L_PP^-T is computed once.  Each kernel column
+    of the pool is one float64 product on the centred rows,
+    exp(z . p / s^2 - ||z||^2 / (2 s^2) - ||p||^2 / (2 s^2)): at D = 10, 512
+    columns took 8 ms on a 2-core VM, against 32 ms for ``kernel_values``,
+    which sums (z_k - p_k)^2 one coordinate at a time.
+    """
+    Z = pooled_subsample(X, Y, LANDMARK_POOL, seed)
+    centre = Z.mean(axis=0)
+    Z = Z - centre
+    s2 = spec.bandwidth**2
+    half_sq = np.square(Z).sum(axis=1) / (-2.0 * s2)
+
+    def column(i):
+        out = Z @ (Z[i] / s2)
+        out += half_sq
+        out += half_sq[i]
+        return np.exp(out, out=out)
+
+    L, pivots = pivoted_cholesky(column, Z.shape[0], max_rank)
+    exponent = np.empty((Z.shape[1] + 2, len(pivots)), np.float32)
+    exponent[:-2] = Z[pivots].T / s2
+    exponent[-2] = -0.5 / s2
+    exponent[-1] = half_sq[pivots]
+    whitener = np.linalg.inv(L[pivots]).T
+    return LandmarkMap(centre=centre, exponent=exponent, whitener=whitener)
+
+
+def kernel_rows(lm, x, out=None):
+    """k(x, P) for every row of x and landmark p, as a len(x) x r float32 array (``out`` if given).
+
+    exp([x - c, ||x - c||^2, 1] @ lm.exponent), one product and one exp per
+    block of MAP_BLOCK_ROWS rows.  Centring on the pool mean c keeps the
+    three terms of the exponent near the size of ||x - p||^2 rather than of
+    ||x||^2, whose float32 cancellation would swamp it for data far from the
+    origin.
+    """
     if out is None:
-        out = np.empty((n, fm.dim), dtype)
-    # a scalar of the array's own dtype: a float64 one would run a float32
-    # array's product in float64 and cast it back (NEP 50)
-    scale = dtype.type(np.sqrt(2.0 / fm.dim))
-    ones = np.ones((min(n, MAP_BLOCK_ROWS + 1), fm.input_dim + 1), dtype)  # [x, 1] of one block
-    start = 0
-    while start < n:
-        stop = n if n - start <= MAP_BLOCK_ROWS + 1 else start + MAP_BLOCK_ROWS
-        block = out[start:stop]
-        if stop - start == 1:
-            np.matmul(x[start:stop].astype(dtype), fm.frequencies.T.astype(dtype), out=block)
-            block += wb[-1]
-        else:
-            ones[: stop - start, :-1] = x[start:stop]
-            np.matmul(ones[: stop - start], wb, out=block)
-        np.cos(block, out=block)
-        block *= scale
-        start = stop
-    return out[0] if single else out
+        out = np.empty((x.shape[0], lm.rank), np.float32)
+    d = x - lm.centre
+    aug = np.ones((x.shape[0], lm.exponent.shape[0]), np.float32)
+    aug[:, :-2] = d
+    aug[:, -2] = np.square(d).sum(axis=1)
+    for start in range(0, x.shape[0], MAP_BLOCK_ROWS):
+        block = np.matmul(aug[start : start + MAP_BLOCK_ROWS], lm.exponent, out=out[start : start + MAP_BLOCK_ROWS])
+        np.exp(block, out=block)
+    return out
 
 
-def apply_feature_map(fm, x, dtype=float, out=None):
-    """Map one D-vector (or an n x D matrix, row-wise) into feature space.
+def mean_landmark_features(lm, X):
+    """Mean of phi(x) = k(x, P) W over the rows of X, in float32.
 
-    ``dtype=np.float32`` computes the projection in single precision, which
-    roughly halves the cost for large sample matrices.  ``out``, an n x d
-    array of that dtype, receives the features of a matrix.
+    Kernel rows are made MEAN_CHUNK_ROWS at a time into one reused buffer and
+    summed in float64, so no n x r matrix is stored; W is applied once, to
+    their mean.
     """
-    return _map_rows(fm, _augmented_frequencies(fm, dtype), x, out)
+    if X.shape[0] == 0:
+        raise InvalidInputError("X must be a nonempty n x D sample matrix")
+    total = np.zeros(lm.rank)
+    buf = np.empty((min(X.shape[0], MEAN_CHUNK_ROWS), lm.rank), np.float32)
+    for start in range(0, X.shape[0], MEAN_CHUNK_ROWS):
+        rows = X[start : start + MEAN_CHUNK_ROWS]
+        total += kernel_rows(lm, rows, out=buf[: len(rows)]).sum(axis=0, dtype=np.float64)
+    return ((total / X.shape[0]) @ lm.whitener).astype(np.float32)
 
 
-class FeatureRows:
-    """The rows of ``apply_feature_map(fm, samples, dtype)``, mapped when indexed.
+class KernelRows:
+    """The rows of ``kernel_rows(lm, samples)``, made when indexed.
 
-    ``rows[idx]`` is ``apply_feature_map(fm, samples[idx], dtype)`` and holds
-    only the rows asked for.  Both map in blocks of two or more rows, so a key
-    of two or more rows has the bits of the same rows of the stored n x d
-    matrix wherever BLAS computes each row of a product alike whatever the
-    number of rows: on OpenBLAS, at d = 1024.  A single row (a matrix-vector
-    product) or a small product (such as d = 64 with D = 33) may round
-    differently in the last bit.
+    ``rows[idx]`` is ``kernel_rows(lm, samples[idx])`` and holds only the
+    rows asked for.  A row's bits do not depend on the rows made with it
+    wherever BLAS computes each row of a product alike: on OpenBLAS, for the
+    D + 2 terms of the exponent.
     """
 
-    def __init__(self, fm, samples, dtype=float):
-        self.fm = fm
+    dtype = np.dtype(np.float32)
+
+    def __init__(self, lm, samples):
+        self.lm = lm
         self.samples = samples
-        self.dtype = np.dtype(dtype)
-        self.shape = (samples.shape[0], fm.dim)
-        self._wb = _augmented_frequencies(fm, self.dtype)
+        self.shape = (samples.shape[0], lm.rank)
 
     def __getitem__(self, idx):
-        return _map_rows(self.fm, self._wb, self.samples[idx])
-
-
-def spare_cpu():
-    """Whether a helper thread here would have a CPU of its own.
-
-    True when the process may run on more than one CPU and is not a
-    multiprocessing worker, whose pool already spreads its work over the CPUs.
-    """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    # a process that never imported multiprocessing is not one of its workers
-    mp = sys.modules.get("multiprocessing")
-    return cpus > 1 and (mp is None or mp.parent_process() is None)
-
-
-def mean_feature_map(fm, X, dtype=float):
-    """Mean of ``apply_feature_map(fm, X, dtype)`` over the rows of X, in that dtype.
-
-    Rows are mapped MEAN_CHUNK_ROWS at a time into one reused buffer, each
-    chunk is summed in float64 and the chunk sums are added in chunk order, so
-    the n x d feature matrix is never stored.  When ``spare_cpu()``, the
-    second half of the chunks is mapped on a helper thread, joined before
-    this returns; its sums are added after the first half's, so the result
-    has the same bits whether or not the pass is split.  Until then they are
-    held: d float64s per two chunks, 7.8 MB for a million rows at d = 1024.
-    """
-    X = np.asarray(X)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise InvalidInputError("X must be a nonempty n x D sample matrix")
-    wb = _augmented_frequencies(fm, dtype)
-    starts = range(0, X.shape[0], MEAN_CHUNK_ROWS)
-
-    def chunk_sums(part):
-        # mapped: a helper thread's malloc'd buffer would stay resident in its arena
-        buf = mapped_empty((min(X.shape[0], MEAN_CHUNK_ROWS), fm.dim), wb.dtype)
-        for start in part:
-            rows = X[start : start + MEAN_CHUNK_ROWS]
-            yield _map_rows(fm, wb, rows, buf[: len(rows)]).sum(axis=0, dtype=np.float64)
-
-    half = len(starts) // 2 if len(starts) > 1 and spare_cpu() else len(starts)
-    later, failed = [], []
-
-    def map_later_half():
-        try:
-            later.extend(chunk_sums(starts[half:]))
-        except Exception as exc:  # raised again in the calling thread
-            failed.append(exc)
-
-    helper = threading.Thread(target=map_later_half) if half < len(starts) else None
-    total = np.zeros(fm.dim)
-    if helper is not None:
-        helper.start()
-    try:
-        for chunk_sum in chunk_sums(starts[:half]):
-            total += chunk_sum
-    finally:
-        if helper is not None:
-            helper.join()
-    if failed:
-        raise failed[0]
-    for chunk_sum in later:
-        total += chunk_sum
-    return (total / X.shape[0]).astype(dtype)
+        return kernel_rows(self.lm, self.samples[idx])

@@ -10,9 +10,11 @@ kernel witness is linear in its feature weights, so the P term of the bound
 is the weights dotted with the P-side mean (the kernel mean embedding); it is
 computed once, exactly, and only the log-mean-exp term over Q is sampled.
 Both kernel parameterizations run the one feature-space loop, ``run_primal``:
-the Gram parameterization on the rows of a pivoted Cholesky factor of K.  Its
-Q features may be stored or mapped from the samples minibatch by minibatch
-(``kernels.FeatureRows``); both take the same draws from the generator.
+the Gram parameterization on the rows of a pivoted Cholesky factor of K, the
+landmark parameterization on kernel rows against the landmarks, whitened
+inside the step.  Q kernel rows may be stored or made from the samples
+minibatch by minibatch (``kernels.KernelRows``); both take the same draws
+from the generator.
 
 The stopping rule compares successive values of a moving average over the
 last ``CONVERGENCE_WINDOW`` = 10 minibatch values and requires the difference
@@ -27,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from .errors import InvalidInputError, NumericalFailureError
-from .kernels import FeatureRows, pivoted_cholesky
+from .kernels import KernelRows, pivoted_cholesky
 from .objective import dv_value_and_weights
 
 DEFAULT_NORM_BUDGET = 10.0
@@ -127,41 +129,47 @@ def ascend(step, weights, cfg):
     return weights, trace
 
 
-def run_primal(mean_phi_x, PhiY, cfg):
-    """Optimize the feature parameterization, O(minibatch * d) per step; returns (beta, OptimizationTrace).
+def run_primal(mean_phi_x, PhiY, cfg, whitener=None):
+    """Optimize the feature parameterization; returns (beta, OptimizationTrace).
 
-    ``mean_phi_x`` is the mean feature vector of the P-samples (see
-    ``kernels.mean_feature_map``, or the P rows of a pivoted Cholesky factor)
-    and ``PhiY`` the m x d Q-sample features: a stored array, or a
-    ``kernels.FeatureRows`` that maps each minibatch from the samples when it
-    is drawn.  Both are indexed with the same draws, so both give the same
-    bits wherever ``FeatureRows`` reproduces the stored rows (see there); a
-    full batch maps a ``FeatureRows`` once, before the first step.
+    The Q-sample features are the rows of PhiY times ``whitener`` (the
+    identity when None); ``mean_phi_x`` is the P-samples' mean feature vector.
+    Dual mode passes the rows of a pivoted Cholesky factor.  Primal mode passes
+    landmark kernel rows k(y, P) and W = L_PP^-T (``kernels.LandmarkMap``);
+    each step scores a minibatch with K_b (W beta) and maps the gradient back
+    with W' (K_b' w), O(minibatch * r + r^2).  PhiY is a stored array, or a
+    ``kernels.KernelRows`` that makes each minibatch's rows when drawn; both
+    take the same draws, so both give the same bits wherever ``KernelRows``
+    reproduces the stored rows.  A full batch makes a ``KernelRows`` once.
     """
-    if not isinstance(PhiY, FeatureRows):
+    if not isinstance(PhiY, KernelRows):
         PhiY = np.asarray(PhiY)
     mean_phi_x = np.asarray(mean_phi_x)
-    if len(PhiY.shape) != 2 or mean_phi_x.shape != PhiY.shape[1:]:
-        raise InvalidInputError("mean_phi_x must be a d-vector matching the columns of the m x d PhiY")
+    d = PhiY.shape[1:] if whitener is None else whitener.shape[1:]
+    if len(PhiY.shape) != 2 or mean_phi_x.shape != d or whitener is not None and whitener.shape[0] != PhiY.shape[1]:
+        raise InvalidInputError("mean_phi_x must be a d-vector matching the m x d features PhiY @ whitener")
     # beta matches the feature dtype so float32 inputs avoid per-step upcasts
     dtype = np.result_type(PhiY.dtype, np.float32)
     mean_phi_x = mean_phi_x.astype(dtype, copy=False)
+    if whitener is not None:
+        whitener = whitener.astype(dtype, copy=False)
     m = PhiY.shape[0]
     if cfg.minibatch >= m:
-        PhiY = PhiY[:]  # every step uses every row: a FeatureRows is mapped once, an array viewed
+        PhiY = PhiY[:]  # every step uses every row: a KernelRows is made once, an array viewed
 
     def step(beta, rng):
         # Q rows drawn with replacement; every row, uncopied, once the batch covers all m
         Py = PhiY if cfg.minibatch >= m else PhiY[rng.integers(0, m, size=cfg.minibatch)]
-        kl, w = dv_value_and_weights(float(mean_phi_x @ beta), Py @ beta)
-        grad = Py.T @ w - mean_phi_x
+        kl, w = dv_value_and_weights(float(mean_phi_x @ beta), Py @ (beta if whitener is None else whitener @ beta))
+        grad = Py.T @ w
+        grad = (grad if whitener is None else whitener.T @ grad) - mean_phi_x
         if cfg.penalty_weight:
             grad = grad + 2.0 * cfg.penalty_weight * beta
         return project_primal(beta - cfg.step_size * grad, cfg.norm_budget), kl
 
     # an overflowing step is reported by the projection, not by numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        return ascend(step, np.zeros(PhiY.shape[1], dtype=dtype), cfg)
+        return ascend(step, np.zeros(d, dtype=dtype), cfg)
 
 
 def run_dual(K, cfg):

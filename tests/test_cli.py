@@ -312,7 +312,7 @@ class TestEstimateMi:
         assert "finite and positive" in err
 
     def test_100k_rows_peak_rss_without_a_q_feature_matrix(self, tmp_path):
-        # the 100k x 1024 float32 Q features (410 MB) are streamed per minibatch;
+        # the 100k x ~180 float32 Q kernel rows (72 MB) are made per minibatch;
         # os.wait4 reads this child's own peak RSS, in KiB on Linux
         path = tmp_path / "pairs.csv"
         spec = GaussianPairSpec(dimension=1, correlation=0.9, sample_count=100_000, seed=4)
@@ -340,7 +340,7 @@ class TestEstimateMi:
         return str(path)
 
     def test_dual_beyond_gram_limit_runs(self, pairs_5001, capsys):
-        # the factor holds 10002 x (rank <= 1024) entries, not a Gram matrix
+        # the factor holds 10002 x (rank <= 512) entries, not a Gram matrix
         code, out, _ = run_cli(capsys, "estimate-mi", "--data", pairs_5001,
                                "--x-cols", "x", "--y-cols", "y", "--mode", "dual", "--format", "json")
         assert code == 0

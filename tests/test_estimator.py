@@ -15,7 +15,7 @@ from kernelkl import (
 )
 from kernelkl import estimator
 from kernelkl.estimator import _OPTIMIZER_TAG, derive_seed, joint_and_product, split_pairs
-from kernelkl.kernels import FeatureRows, KernelSpec, build_gram
+from kernelkl.kernels import DEFAULT_FEATURE_DIM, KernelRows, KernelSpec, build_gram, sample_landmarks
 from kernelkl.optimize import run_dual
 
 
@@ -24,6 +24,12 @@ def gaussian_sets(n, shift=0.0, scale=1.0, seed=0):
     X = rng.normal(size=(n, 1))
     Y = rng.normal(loc=shift, scale=scale, size=(n, 1))
     return X, Y
+
+
+def gaussian_sets_2d(n, seed):
+    # at D = 2 the landmark factor stops near rank 200, as at D = 1 + 1 in MI
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(n, 2)), rng.normal(loc=0.5, size=(n, 2))
 
 
 class TestDeriveSeed:
@@ -144,77 +150,95 @@ class TestEstimateKl:
         with pytest.raises(InvalidInputError, match="^Y contains non-finite values$"):
             estimate_kl(np.zeros((5, 1)), Y)
 
-    def test_primal_peak_memory_is_one_feature_matrix(self):
-        # P enters through its streamed mean embedding, so no P-side n x d matrix
+    @staticmethod
+    def spy_on_rank(monkeypatch):
+        ranks = []
+
+        def spy(*args, **kwargs):
+            landmarks = sample_landmarks(*args, **kwargs)
+            ranks.append(landmarks.rank)
+            return landmarks
+
+        monkeypatch.setattr(estimator, "sample_landmarks", spy)
+        return ranks
+
+    def test_primal_peak_memory_is_one_feature_matrix(self, monkeypatch):
+        # P enters through its streamed mean embedding, so no P-side n x r matrix
         # is held (numpy reports its buffers to tracemalloc; the stored Q-side
-        # matrix is an anonymous memory map, which it does not see)
-        n, d = 20_000, 1024
-        X, Y = gaussian_sets(n, shift=0.5, seed=9)
-        cfg = EstimatorConfig(feature_dim=d, optimizer=OptimizerConfig(max_iter=20, seed=9))
+        # kernel rows are an anonymous memory map, which it does not see).  The
+        # peak is the factor of the landmark pool, 512 x 2000 float64s.
+        n = 50_000
+        X, Y = gaussian_sets_2d(n, seed=9)
+        ranks = TestEstimateKl.spy_on_rank(monkeypatch)
+        cfg = EstimatorConfig(optimizer=OptimizerConfig(max_iter=20, seed=9))
         tracemalloc.start()
         try:
             estimate_kl(X, Y, cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * n * d * 4
+        assert n * ranks[0] * 4 <= estimator.MAX_STORED_KERNEL_BYTES
+        assert peak < n * ranks[0] * 4
 
 
 class TestStoredOrStreamedQ:
-    """Q features are stored when small or full batch, else mapped per minibatch."""
+    """Q kernel rows are stored when small or full batch, else made per minibatch."""
 
     class Captured(Exception):
         pass
 
     def q_argument(self, monkeypatch, m, feature_dim, minibatch):
-        def spy(mean_phi_x, PhiY, cfg):
-            raise self.Captured(PhiY)
+        def spy(mean_phi_x, PhiY, cfg, whitener):
+            raise self.Captured(PhiY, whitener)
 
         monkeypatch.setattr(estimator, "run_primal", spy)
         X, Y = gaussian_sets(m, seed=1)
         with pytest.raises(self.Captured) as caught:
             estimate_kl(X, Y, EstimatorConfig(feature_dim=feature_dim, optimizer=OptimizerConfig(minibatch=minibatch)))
-        return caught.value.args[0]
+        return caught.value.args
 
     @pytest.mark.parametrize("m, minibatch, streamed", [(100, 16, False), (101, 16, True), (101, 101, False)])
     def test_rule(self, monkeypatch, m, minibatch, streamed):
-        # 100 rows x 16 float32 features fill the cap exactly
-        monkeypatch.setattr(estimator, "MAX_STORED_FEATURE_BYTES", 100 * 16 * 4)
-        PhiY = self.q_argument(monkeypatch, m, 16, minibatch)
-        assert isinstance(PhiY, FeatureRows) == streamed
+        # 100 rows x 16 float32 kernel rows fill the cap exactly; at D = 1 the
+        # landmark factor of ~200 pooled rows reaches the cap of 16
+        monkeypatch.setattr(estimator, "MAX_STORED_KERNEL_BYTES", 100 * 16 * 4)
+        PhiY, whitener = self.q_argument(monkeypatch, m, 16, minibatch)
+        assert isinstance(PhiY, KernelRows) == streamed
         assert PhiY.shape == (m, 16) and PhiY.dtype == np.float32
+        assert whitener.shape == (16, 16)
 
     def test_cap_placement(self):
-        # the 10k-row benchmark audit and the 20k memory test above store their
-        # Q features at the default d; the 100k-row CLI run streams them
-        row_bytes = 1024 * 4
-        assert 20_000 * row_bytes <= estimator.MAX_STORED_FEATURE_BYTES < 100_000 * row_bytes
+        # 20k rows at the default rank cap of 512 (D >= 3) are stored; the
+        # 100k-row CLI run at D = 1 + 1, rank ~180, streams its kernel rows
+        assert 20_000 * DEFAULT_FEATURE_DIM * 4 <= estimator.MAX_STORED_KERNEL_BYTES < 100_000 * 130 * 4
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_streamed_estimate_is_the_stored_one(self, monkeypatch, seed):
         X, Y = gaussian_sets(4_000, shift=0.8, seed=seed)
         cfg = EstimatorConfig(optimizer=OptimizerConfig(max_iter=100, minibatch=256, seed=seed))
         stored = estimate_kl(X, Y, cfg)
-        monkeypatch.setattr(estimator, "MAX_STORED_FEATURE_BYTES", 0)
+        monkeypatch.setattr(estimator, "MAX_STORED_KERNEL_BYTES", 0)
         streamed = estimate_kl(X, Y, cfg)
         assert stored.kl_estimate == streamed.kl_estimate
         assert stored.trace.kl_values.tobytes() == streamed.trace.kl_values.tobytes()
         assert (stored.iterations, stored.converged) == (streamed.iterations, streamed.converged)
 
     def test_streamed_peak_memory_is_a_tenth_of_the_matrix(self, monkeypatch):
-        # the peak is the ~8 MB of the bandwidth's pairwise distances, then one
-        # 2 MB minibatch or chunk of features, not the 200 MB Q matrix
-        n, d = 50_000, 1024
-        X, Y = gaussian_sets(n, shift=0.5, seed=9)
-        cfg = EstimatorConfig(feature_dim=d, optimizer=OptimizerConfig(max_iter=20, seed=9))
-        monkeypatch.setattr(estimator, "MAX_STORED_FEATURE_BYTES", 0)
+        # the peak is the factor of the landmark pool (512 x 2000 float64s,
+        # allocated up front), then one minibatch or chunk of kernel rows, not
+        # the ~150 MB Q matrix
+        n = 200_000
+        X, Y = gaussian_sets_2d(n, seed=9)
+        ranks = TestEstimateKl.spy_on_rank(monkeypatch)
+        cfg = EstimatorConfig(optimizer=OptimizerConfig(max_iter=20, seed=9))
+        monkeypatch.setattr(estimator, "MAX_STORED_KERNEL_BYTES", 0)
         tracemalloc.start()
         try:
             estimate_kl(X, Y, cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 0.1 * n * d * 4
+        assert peak < 0.1 * n * ranks[0] * 4
 
 
 class TestSplitPairs:

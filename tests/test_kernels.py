@@ -1,9 +1,4 @@
-import multiprocessing
-import os
-import sys
-import threading
 import tracemalloc
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,26 +6,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist, pdist
 
-from kernelkl import InvalidInputError, kernels
+from kernelkl import InvalidInputError
 from kernelkl.kernels import (
     CHOLESKY_TOL,
     DISTANCE_BLOCK_ROWS,
+    LANDMARK_POOL,
     MAP_BLOCK_ROWS,
     MAX_GRAM_ROWS,
     MEAN_CHUNK_ROWS,
-    FeatureRows,
+    KernelRows,
     KernelSpec,
     apply_feature_map,
     build_gram,
+    kernel_rows,
     kernel_values,
     mapped_empty,
-    mean_feature_map,
+    mean_landmark_features,
     median_heuristic_bandwidth,
     pair_sq_distances,
     pivoted_cholesky,
+    pooled_subsample,
     rbf_kernel,
     sample_feature_map,
-    spare_cpu,
+    sample_landmarks,
     sq_distances,
 )
 
@@ -228,105 +226,92 @@ class TestPivotedCholesky:
         assert size * size > MAX_GRAM_ROWS**2 >= size * 1024
 
 
+class TestLandmarks:
+    @staticmethod
+    def landmarks(dim, max_rank=512, n=3_000, shift=0.0, seed=0):
+        rng = np.random.default_rng(dim)
+        X = rng.normal(size=(n, dim)) + shift
+        Y = rng.normal(loc=0.3, size=(n, dim)) + shift
+        spec = KernelSpec(0.5 * np.sqrt(dim))
+        return X, Y, spec, sample_landmarks(X, Y, spec, max_rank, seed=seed)
+
+    @staticmethod
+    def pool_factor(X, Y, spec, max_rank, seed):
+        # the pool and factor sample_landmarks starts from, made again
+        Z = pooled_subsample(X, Y, LANDMARK_POOL, seed)
+        L, pivots = pivoted_cholesky(lambda i: kernel_values(Z, Z[i : i + 1], spec)[:, 0], len(Z), max_rank)
+        return Z, L, pivots
+
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    @pytest.mark.parametrize("shift", [0.0, 1e4])
+    def test_float32_rows_match_float64_kernel_values(self, dim, shift):
+        # without centring on the pool mean, float32 cancellation in
+        # ||x||^2 + ||p||^2 - 2 x.p is ~1e8 * 6e-8 at a shift of 1e4
+        X, Y, spec, lm = self.landmarks(dim, shift=shift)
+        Z, _, pivots = self.pool_factor(X, Y, spec, 512, 0)
+        got = kernel_rows(lm, Y)
+        assert got.dtype == np.float32 and got.shape == (len(Y), lm.rank)
+        assert np.abs(got - kernel_values(Y, Z[pivots], spec)).max() <= 1e-5
+
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_features_are_the_pool_factor_rows(self, dim):
+        X, Y, spec, lm = self.landmarks(dim)
+        Z, L, pivots = self.pool_factor(X, Y, spec, 512, 0)
+        assert lm.rank == len(pivots) == L.shape[1]
+        # phi(z) = k(z, P) W is z's row of L on the pool ...
+        assert np.abs(kernel_values(Z, Z[pivots], spec) @ lm.whitener - L).max() <= 1e-5
+        # ... and has norm at most 1, k(z, z), anywhere, also from float32 rows
+        for rows in (Z, X, Y):
+            assert np.linalg.norm(kernel_rows(lm, rows) @ lm.whitener, axis=1).max() <= 1 + 1e-5
+
+    def test_rank_stops_at_tolerance_or_cap(self):
+        # at D = 1 the factor of the pool reaches CHOLESKY_TOL well below the cap;
+        # at D = 5 the cap stops it
+        assert self.landmarks(1)[3].rank < 100
+        assert self.landmarks(5, max_rank=64)[3].rank == 64
+
+    def test_pool_is_a_seeded_subsample(self):
+        X, Y, spec, lm = self.landmarks(2, n=1_500)
+        assert np.array_equal(sample_landmarks(X, Y, spec, 512, seed=0).whitener, lm.whitener)
+        assert not np.array_equal(sample_landmarks(X, Y, spec, 512, seed=1).whitener, lm.whitener)
+        Z = pooled_subsample(X, Y, LANDMARK_POOL, 0)
+        assert np.array_equal(lm.centre, Z.mean(axis=0))
+        assert len(Z) == LANDMARK_POOL and len({tuple(z) for z in Z}) == LANDMARK_POOL
+
+    @pytest.mark.parametrize("dim", [1, 2, 20])
+    def test_kernel_rows_equal_stored_rows(self, dim):
+        # a row's bits do not depend on the rows made with it: whole minibatches,
+        # single rows, and a tail of one row after full blocks
+        _, Y, _, lm = self.landmarks(dim, max_rank=128)
+        stored = kernel_rows(lm, Y)
+        rows = KernelRows(lm, Y)
+        assert rows.shape == stored.shape and rows.dtype == stored.dtype
+        draws = np.random.default_rng(0).integers(0, len(Y), size=512)
+        for key in (draws, draws[:1], draws[: MAP_BLOCK_ROWS + 1], slice(100, 612), slice(None)):
+            assert rows[key].tobytes() == stored[key].tobytes()
+
+    def test_mapped_out_array_gets_the_same_bits(self):
+        _, Y, _, lm = self.landmarks(2)
+        out = mapped_empty((len(Y), lm.rank), np.float32)
+        assert kernel_rows(lm, Y, out=out) is out
+        assert out.tobytes() == kernel_rows(lm, Y).tobytes()
+
+
 class TestMeanFeatureMap:
     # part of a chunk, one chunk, a chunk and a row, several chunks with and without a row more
     @pytest.mark.parametrize("n", [100, MEAN_CHUNK_ROWS, MEAN_CHUNK_ROWS + 1, 4096, 4097])
     def test_matches_materialised_mean(self, n):
-        fm = sample_feature_map(2, 64, KernelSpec(0.7), seed=1)
-        X = np.random.default_rng(n).normal(size=(n, 2))
-        got = mean_feature_map(fm, X, dtype=np.float32)
-        assert got.dtype == np.float32
-        # the reference averages the same float32 features in float64, as the stream does
-        expected = apply_feature_map(fm, X, dtype=np.float32).mean(axis=0, dtype=np.float64)
-        np.testing.assert_allclose(got, expected, rtol=1e-6)
+        X, _, _, lm = TestLandmarks.landmarks(2, n=n)
+        got = mean_landmark_features(lm, X)
+        assert got.dtype == np.float32 and got.shape == (lm.rank,)
+        # the reference averages the same float32 kernel rows in float64, then whitens
+        expected = kernel_rows(lm, X).mean(axis=0, dtype=np.float64) @ lm.whitener
+        np.testing.assert_allclose(got, expected, rtol=1e-5, atol=1e-6)
 
     def test_rejects_empty_input(self):
-        fm = sample_feature_map(2, 8, KernelSpec(1.0), seed=0)
+        _, _, _, lm = TestLandmarks.landmarks(2, n=100)
         with pytest.raises(InvalidInputError):
-            mean_feature_map(fm, np.zeros((0, 2)))
-
-    @staticmethod
-    def spy_on_threads(monkeypatch, split):
-        monkeypatch.setattr(kernels, "spare_cpu", lambda: split)
-        started = []
-
-        class Spy(threading.Thread):
-            def start(self):
-                started.append(self)
-                super().start()
-
-        monkeypatch.setattr(threading, "Thread", Spy)
-        return started
-
-    # one row, one block, one chunk, a chunk and a row, eight chunks and a row
-    @pytest.mark.parametrize("n", [1, MAP_BLOCK_ROWS, MEAN_CHUNK_ROWS, MEAN_CHUNK_ROWS + 1, 4097])
-    @pytest.mark.parametrize("split", [True, False])
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_equals_chunk_sums_in_order_bit_for_bit(self, monkeypatch, n, split, dtype):
-        started = self.spy_on_threads(monkeypatch, split)
-        fm = sample_feature_map(2, 1024, KernelSpec(0.7), seed=2)
-        X = np.random.default_rng(n).normal(size=(n, 2))
-        got = mean_feature_map(fm, X, dtype=dtype)
-        # each 512-row chunk mapped whole as cos(x W' + b) * sqrt(2/d), summed
-        # in float64, and the chunk sums added in chunk order
-        total = np.zeros(1024)
-        for start in range(0, n, MEAN_CHUNK_ROWS):
-            chunk = TestFeatureMap.reference(
-                fm, X[start : start + MEAN_CHUNK_ROWS], dtype, dtype(np.sqrt(2.0 / 1024))
-            )
-            total += chunk.sum(axis=0, dtype=np.float64)
-        assert got.tobytes() == (total / n).astype(dtype).tobytes()
-        assert len(started) == (1 if split and n > MEAN_CHUNK_ROWS else 0)
-
-    def test_no_thread_outlives_the_call(self, monkeypatch):
-        started = self.spy_on_threads(monkeypatch, True)
-        fm = sample_feature_map(2, 64, KernelSpec(0.7), seed=2)
-        before = threading.active_count()
-        mean_feature_map(fm, np.random.default_rng(0).normal(size=(4097, 2)), dtype=np.float32)
-        assert len(started) == 1 and not started[0].is_alive()
-        assert threading.active_count() == before
-
-    def test_error_on_the_helper_thread_is_raised(self, monkeypatch):
-        self.spy_on_threads(monkeypatch, True)
-        fm = sample_feature_map(2, 64, KernelSpec(0.7), seed=2)
-        X = np.zeros((4097, 2), dtype=object)
-        X[-1, 0] = "not a number"  # only the second half of the chunks fails
-        before = threading.active_count()
-        with pytest.raises(ValueError):
-            mean_feature_map(fm, X, dtype=np.float32)
-        assert threading.active_count() == before
-
-    def test_concurrent_calls_under_fast_switching(self, monkeypatch):
-        # four callers, each with its own helper: eight threads on fewer cores
-        monkeypatch.setattr(kernels, "spare_cpu", lambda: True)
-        fm = sample_feature_map(2, 64, KernelSpec(0.7), seed=2)
-        Xs = [np.random.default_rng(i).normal(size=(4097, 2)) for i in range(4)]
-        expected = [mean_feature_map(fm, X, dtype=np.float64).tobytes() for X in Xs]
-        got = [None] * len(Xs)
-
-        def call(i):
-            got[i] = mean_feature_map(fm, Xs[i], dtype=np.float64).tobytes()
-
-        callers = [threading.Thread(target=call, args=(i,)) for i in range(len(Xs))]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for caller in callers:
-                caller.start()
-            for caller in callers:
-                caller.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(caller.is_alive() for caller in callers)
-        assert got == expected
-
-    @pytest.mark.parametrize("method", [None, "spawn"])
-    def test_multiprocessing_worker_does_not_split(self, method):
-        # None: the default context, the one ``kernelkl benchmark --jobs`` uses
-        context = multiprocessing.get_context(method)
-        with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
-            assert pool.submit(spare_cpu).result(timeout=60) is False
-        assert spare_cpu() is (len(os.sched_getaffinity(0)) > 1)
+            mean_landmark_features(lm, np.zeros((0, 2)))
 
 
 class TestFeatureMap:
@@ -432,36 +417,6 @@ class TestFeatureMap:
         got = apply_feature_map(fm, Z, dtype=np.float32, out=out)
         assert got is out
         assert out.tobytes() == apply_feature_map(fm, Z, dtype=np.float32).tobytes()
-
-
-class TestFeatureRows:
-    @pytest.mark.parametrize("dim", [1, 2, 20])
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_rows_equal_stored_rows(self, dim, dtype):
-        # at d = 1024 each row of a product of two or more rows comes out of
-        # BLAS with the bits it has in the whole product
-        fm = sample_feature_map(dim, 1024, KernelSpec(0.6 * np.sqrt(dim)), seed=dim)
-        Y = np.random.default_rng(dim).normal(size=(3_000, dim))
-        stored = apply_feature_map(fm, Y, dtype=dtype)
-        rows = FeatureRows(fm, Y, dtype)
-        assert rows.shape == stored.shape and rows.dtype == stored.dtype
-        draws = np.random.default_rng(0).integers(0, len(Y), size=512)
-        for key in (draws, draws[:2], draws[:64], slice(100, 612), slice(None)):
-            assert rows[key].tobytes() == stored[key].tobytes()
-
-    @pytest.mark.parametrize("dim", [1, 2])
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_rows_equal_stored_rows_at_block_edges(self, dim, dtype):
-        # the stored matrix ends in a one-row tail, which joins the block before
-        # it; a minibatch of a block and a row does the same; two rows make the
-        # smallest block
-        fm = sample_feature_map(dim, 1024, KernelSpec(0.6 * np.sqrt(dim)), seed=dim)
-        Y = np.random.default_rng(dim).normal(size=(5 * MAP_BLOCK_ROWS + 1, dim))
-        stored = apply_feature_map(fm, Y, dtype=dtype)
-        rows = FeatureRows(fm, Y, dtype)
-        draws = np.random.default_rng(1).integers(0, len(Y), size=MAP_BLOCK_ROWS + 1)
-        for key in (slice(None), draws, draws[:2]):
-            assert rows[key].tobytes() == stored[key].tobytes()
 
 
 class TestMedianHeuristic:

@@ -5,13 +5,15 @@ import pytest
 
 from kernelkl import InvalidInputError, NumericalFailureError, OptimizerConfig
 from kernelkl.kernels import (
-    FeatureRows,
+    KernelRows,
     KernelSpec,
     apply_feature_map,
     build_gram,
-    mean_feature_map,
+    kernel_rows,
+    mean_landmark_features,
     pivoted_cholesky,
     sample_feature_map,
+    sample_landmarks,
 )
 from kernelkl.objective import dual_gradient, dual_objective, primal_gradient
 from kernelkl.optimize import CONVERGENCE_WINDOW, ascend, project_dual, project_primal, run_dual, run_primal
@@ -272,21 +274,39 @@ class TestRunPrimal:
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("minibatch", [64, 512, 5_000])
     def test_streamed_rows_give_the_stored_run(self, seed, minibatch):
-        # the same draws index the stored matrix and the lazy rows, so weights
-        # and traces agree bit for bit; a full batch maps the rows once
+        # the same draws index the stored kernel rows and the lazy ones, so
+        # weights and traces agree bit for bit; a full batch makes the rows once
         rng = np.random.default_rng(seed)
         X, Y = rng.normal(size=(3_000, 2)), rng.normal(loc=0.7, size=(4_000, 2))
-        fm = sample_feature_map(2, 1024, KernelSpec(0.5), seed=seed)
-        mean_phi_x = mean_feature_map(fm, X, dtype=np.float32)
+        lm = sample_landmarks(X, Y, KernelSpec(0.5), 512, seed=seed)
+        mean_phi_x = mean_landmark_features(lm, X)
         cfg = OptimizerConfig(max_iter=60, minibatch=minibatch, seed=seed)
-        stored = run_primal(mean_phi_x, apply_feature_map(fm, Y, dtype=np.float32), cfg)
-        streamed = run_primal(mean_phi_x, FeatureRows(fm, Y, np.float32), cfg)
+        stored = run_primal(mean_phi_x, kernel_rows(lm, Y), cfg, lm.whitener)
+        streamed = run_primal(mean_phi_x, KernelRows(lm, Y), cfg, lm.whitener)
         for beta, _ in (stored, streamed):
-            # a float64 scalar anywhere in the step would make beta float64 (NEP 50)
-            assert beta.dtype == np.float32
+            # a float64 scalar or whitener anywhere in the step would make beta float64 (NEP 50)
+            assert beta.dtype == np.float32 and beta.shape == (lm.rank,)
         assert stored[0].tobytes() == streamed[0].tobytes()
         assert stored[1].kl_values.tobytes() == streamed[1].kl_values.tobytes()
         assert stored[1].estimate == streamed[1].estimate and stored[1].iterations == streamed[1].iterations
+
+    @pytest.mark.parametrize("minibatch", [64, 10_000])
+    def test_whitener_inside_the_step_equals_whitened_rows(self, minibatch):
+        # K_b (W beta) and W' (K_b' w) are the scores and gradient of the rows K W
+        rng = np.random.default_rng(5)
+        X, Y = rng.normal(size=(400, 2)), rng.normal(loc=0.7, size=(500, 2))
+        spec = KernelSpec(0.6)
+        lm = sample_landmarks(X, Y, spec, 64, seed=1)
+        KX, KY = kernel_rows(lm, X).astype(float), kernel_rows(lm, Y).astype(float)
+        cfg = OptimizerConfig(max_iter=80, minibatch=minibatch, seed=3)
+        beta_w, trace_w = run_primal(KX.mean(axis=0) @ lm.whitener, KY, cfg, lm.whitener)
+        beta, trace = run_primal((KX @ lm.whitener).mean(axis=0), KY @ lm.whitener, cfg)
+        np.testing.assert_allclose(beta_w, beta, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(trace_w.kl_values, trace.kl_values, rtol=0, atol=1e-9)
+
+    def test_whitener_shape_must_match(self):
+        with pytest.raises(InvalidInputError, match="d-vector"):
+            run_primal(np.zeros(3), np.zeros((5, 4)), OptimizerConfig(), np.eye(3))
 
     def test_stationary_full_batch(self):
         rng = np.random.default_rng(39)
