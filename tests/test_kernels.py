@@ -278,18 +278,6 @@ class TestLandmarks:
         assert np.array_equal(lm.centre, Z.mean(axis=0))
         assert len(Z) == LANDMARK_POOL and len({tuple(z) for z in Z}) == LANDMARK_POOL
 
-    @pytest.mark.parametrize("dim", [1, 2, 20])
-    def test_kernel_rows_equal_stored_rows(self, dim):
-        # a row's bits do not depend on the rows made with it: whole minibatches,
-        # single rows, and a tail of one row after full blocks
-        _, Y, _, lm = self.landmarks(dim, max_rank=128)
-        stored = kernel_rows(lm, Y)
-        rows = KernelRows(lm, Y)
-        assert rows.shape == stored.shape and rows.dtype == stored.dtype
-        draws = np.random.default_rng(0).integers(0, len(Y), size=512)
-        for key in (draws, draws[:1], draws[: MAP_BLOCK_ROWS + 1], slice(100, 612), slice(None)):
-            assert rows[key].tobytes() == stored[key].tobytes()
-
     def test_mapped_out_array_gets_the_same_bits(self):
         _, Y, _, lm = self.landmarks(2)
         out = mapped_empty((len(Y), lm.rank), np.float32)
@@ -312,6 +300,26 @@ class TestMeanFeatureMap:
         _, _, _, lm = TestLandmarks.landmarks(2, n=100)
         with pytest.raises(InvalidInputError):
             mean_landmark_features(lm, np.zeros((0, 2)))
+
+    # one row, one block, one chunk, a chunk and a row, eight chunks and a row
+    @pytest.mark.parametrize("n", [1, MAP_BLOCK_ROWS, MEAN_CHUNK_ROWS, MEAN_CHUNK_ROWS + 1, 4097])
+    @pytest.mark.parametrize("view", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_chunk_sums_in_order_bit_for_bit(self, n, view, dtype):
+        # X in either float dtype, and either contiguous or a strided column
+        # view of a wider row table, as split_pairs may hand it on
+        _, _, _, lm = TestLandmarks.landmarks(2, n=100)
+        table = np.random.default_rng(n).normal(size=(n, 3)).astype(dtype)
+        X = table[:, 1:] if view else table[:, 1:].copy()
+        assert np.shares_memory(X, table) is view
+        got = mean_landmark_features(lm, X)
+        # each 512-row chunk's kernel rows made whole and summed in float64, the
+        # chunk sums added in chunk order, and W applied once to their mean
+        total = np.zeros(lm.rank)
+        for start in range(0, n, MEAN_CHUNK_ROWS):
+            chunk = np.ascontiguousarray(X[start : start + MEAN_CHUNK_ROWS])
+            total += kernel_rows(lm, chunk).sum(axis=0, dtype=np.float64)
+        assert got.tobytes() == ((total / n) @ lm.whitener).astype(np.float32).tobytes()
 
 
 class TestFeatureMap:
@@ -417,6 +425,36 @@ class TestFeatureMap:
         got = apply_feature_map(fm, Z, dtype=np.float32, out=out)
         assert got is out
         assert out.tobytes() == apply_feature_map(fm, Z, dtype=np.float32).tobytes()
+
+
+class TestFeatureRows:
+    # the landmark kernel rows the estimator streams for Q: a row's bits do not
+    # depend on the rows made with it; samples in either float dtype, which the
+    # kernel functions take as given
+    @pytest.mark.parametrize("dim", [1, 2, 20])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rows_equal_stored_rows(self, dim, dtype):
+        _, Y, _, lm = TestLandmarks.landmarks(dim, max_rank=128)
+        Y = Y.astype(dtype)
+        stored = kernel_rows(lm, Y)
+        rows = KernelRows(lm, Y)
+        assert rows.shape == stored.shape and rows.dtype == stored.dtype == np.float32
+        draws = np.random.default_rng(0).integers(0, len(Y), size=512)
+        for key in (draws, draws[:1], draws[:2], draws[:64], slice(100, 612), slice(None)):
+            assert rows[key].tobytes() == stored[key].tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rows_equal_stored_rows_at_block_edges(self, dim, dtype):
+        # the stored matrix ends in a one-row block; a minibatch of a block and
+        # a row does the same; one and two rows make the smallest blocks
+        _, _, _, lm = TestLandmarks.landmarks(dim, max_rank=128)
+        Y = np.random.default_rng(dim).normal(size=(5 * MAP_BLOCK_ROWS + 1, dim)).astype(dtype)
+        stored = kernel_rows(lm, Y)
+        rows = KernelRows(lm, Y)
+        draws = np.random.default_rng(1).integers(0, len(Y), size=MAP_BLOCK_ROWS + 1)
+        for key in (slice(None), draws, draws[:1], draws[:2], slice(-1, None)):
+            assert rows[key].tobytes() == stored[key].tobytes()
 
 
 class TestMedianHeuristic:
