@@ -84,12 +84,17 @@ def _display(value, bits):
     return value / LN2 if bits else value
 
 
-def _write_output(payload_text, out):
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(payload_text)
-    else:
-        sys.stdout.write(payload_text)
+def _write_output(payload, out):
+    """Write a str or bytes payload to the file ``out``, or to stdout when it is None."""
+    binary = isinstance(payload, bytes)
+    if not out:
+        (sys.stdout.buffer if binary else sys.stdout).write(payload)
+        return
+    try:
+        with open(out, "wb" if binary else "w", encoding=None if binary else "utf-8") as fh:
+            fh.write(payload)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 def _emit_estimate(result, args, label):
@@ -150,12 +155,7 @@ def cmd_benchmark(args):
         seed=args.seed,
     )
     report = run_benchmark(cfg, jobs=args.jobs)
-    data = emit_report(report, args.report_format)
-    if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(data)
-    else:
-        sys.stdout.buffer.write(data)
+    _write_output(emit_report(report, args.report_format), args.out)
     return 0
 
 

@@ -86,11 +86,14 @@ def _parse_cells(path, header, rows):
 def write_csv_dataset(path, header, data):
     """Write a dataset with repr-exact floats so identical data gives identical bytes."""
     data = np.asarray(data)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in data:
-            writer.writerow([repr(float(v)) for v in row])
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            for row in data:
+                writer.writerow([repr(float(v)) for v in row])
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def resolve_columns(header, names, flag):

@@ -44,8 +44,8 @@ def derive_seed(seed, tag):
 #: Largest Q-side kernel-row matrix ``estimate_kl`` stores: 48 MiB, 24 576
 #: rows at r = 512 in float32.  Storing makes each row once; streaming
 #: (``kernels.KernelRows``) makes every minibatch when drawn and holds one.  On
-#: a 2-core VM, 20k-row MI runs at D = 3 and 5 (41 MB) were slower than 1024
-#: random features when streamed; a 100k-row run at D = 1 + 1 (72 MB) streams.
+#: a 2-core VM, 20k-row MI runs at D = 3 and 5 (41 MB) were slower streamed
+#: than stored (0.43 s); a 100k-row run at D = 1 + 1 (72 MB) streams.
 MAX_STORED_KERNEL_BYTES = 48 * 2**20
 
 #: Multiplier on the median-heuristic bandwidth.  The plain median is

@@ -1,4 +1,4 @@
-"""Gaussian RBF kernel, Gram matrices, pivoted Cholesky factors, landmark (Nystrom) and random Fourier features.
+"""Gaussian RBF kernel, Gram matrices, pivoted Cholesky factors and landmark (Nystrom) features.
 
 The rows of a pivoted Cholesky factor K ~= L L' of the pooled samples are
 exact-kernel features, built from kernel columns on demand without forming K
@@ -8,10 +8,7 @@ picks landmarks P, and phi(z) = k(z, P) L_PP^-T, which on the subsample is
 z's row of L.  Rows of k(z, P) are made in float32, one product and one exp
 per block of MAP_BLOCK_ROWS rows, and are a fixed function of their sample,
 so no n x r matrix of them need be stored: ``KernelRows`` makes the rows it
-is indexed with, and ``mean_landmark_features`` sums chunks of rows.  The
-random Fourier feature map of Rahimi & Recht, phi_i(x) = sqrt(2/d) *
-cos(w_i . x + b_i) with w_i ~ N(0, sigma^-2 I), b_i ~ U[0, 2pi), is kept as
-a reference.
+is indexed with, and ``mean_landmark_features`` sums chunks of rows.
 
 Pairwise distances (the median-heuristic bandwidth and the Gram matrix) are
 computed in numpy, one coordinate at a time in coordinate order as
@@ -60,8 +57,8 @@ class KernelSpec:
     bandwidth: float
 
     def __post_init__(self):
-        if not np.isfinite(self.bandwidth) or self.bandwidth <= 0:
-            raise InvalidInputError(f"bandwidth must be a positive finite real, got {self.bandwidth}")
+        if not math.sqrt(np.finfo(float).tiny) <= self.bandwidth <= math.sqrt(np.finfo(float).max):
+            raise InvalidInputError(f"bandwidth must be a positive real whose square is a normal float, got {self.bandwidth}")
 
 
 @dataclass(frozen=True)
@@ -79,26 +76,6 @@ class GramMatrix:
     @property
     def size(self):
         return self.n + self.m
-
-
-@dataclass(frozen=True)
-class FeatureMap:
-    """Sampled random-feature projection approximating an RBF kernel.
-
-    frequencies: (d, D) rows drawn N(0, bandwidth^-2 I); offsets: (d,) phases.
-    Each feature coordinate is bounded by sqrt(2/d), so ||phi(x)||^2 <= 2.
-    """
-
-    frequencies: np.ndarray
-    offsets: np.ndarray
-
-    @property
-    def dim(self):
-        return self.frequencies.shape[0]
-
-    @property
-    def input_dim(self):
-        return self.frequencies.shape[1]
 
 
 def _as_2d(samples, name):
@@ -279,39 +256,6 @@ def median_heuristic_bandwidth(X, Y, seed=0):
     return med if med > 0 else 1.0
 
 
-def sample_feature_map(input_dim, feature_dim, spec, seed=0):
-    """Draw a random Fourier feature map for the given RBF kernel.
-
-    Deterministic given the seed; frequencies i.i.d. N(0, bandwidth^-2) per
-    coordinate, offsets i.i.d. uniform on [0, 2pi).
-    """
-    if input_dim < 1 or feature_dim < 1:
-        raise InvalidInputError("input_dim and feature_dim must be >= 1")
-    rng = np.random.default_rng(seed)
-    frequencies = rng.normal(0.0, 1.0 / spec.bandwidth, size=(feature_dim, input_dim))
-    offsets = rng.uniform(0.0, 2.0 * np.pi, size=feature_dim)
-    return FeatureMap(frequencies=frequencies, offsets=offsets)
-
-
-def apply_feature_map(fm, x, dtype=float, out=None):
-    """Map one D-vector (or an n x D matrix, row-wise) into random Fourier feature space.
-
-    cos(x W' + b) * sqrt(2/d), computed in ``dtype``; ``out``, an n x d array
-    of that dtype, receives the features of a matrix.
-    """
-    x = np.asarray(x)
-    if x.ndim not in (1, 2) or x.shape[-1] != fm.input_dim:
-        raise InvalidInputError(f"input dimension {x.shape} does not match feature map ({fm.input_dim})")
-    dtype = np.dtype(dtype)
-    proj = np.matmul(x.astype(dtype), fm.frequencies.T.astype(dtype), out=out)
-    proj += fm.offsets.astype(dtype)
-    np.cos(proj, out=proj)
-    # a scalar of the array's own dtype: a float64 one would run a float32
-    # array's product in float64 and cast it back (NEP 50)
-    proj *= dtype.type(np.sqrt(2.0 / fm.dim))
-    return proj
-
-
 def mapped_empty(shape, dtype):
     """An uninitialised array in an anonymous memory map of its own, outside the C heap.
 
@@ -357,12 +301,21 @@ def sample_landmarks(X, Y, spec, max_rank, seed=0):
     exp(z . p / s^2 - ||z||^2 / (2 s^2) - ||p||^2 / (2 s^2)): at D = 10, 512
     columns took 8 ms on a 2-core VM, against 32 ms for ``kernel_values``,
     which sums (z_k - p_k)^2 one coordinate at a time.
+
+    Before the factor, a pool of radius R = max ||z - c|| is refused where the
+    float32 exponent of ``kernel_rows`` may round by more than 1: to first order
+    by (D + 4) 2^-24 times its terms' size, at most 2 R^2 / s^2 within R of c;
+    rows farther out lie farther from every landmark and err no more in value.
     """
     Z = pooled_subsample(X, Y, LANDMARK_POOL, seed)
     centre = Z.mean(axis=0)
     Z = Z - centre
     s2 = spec.bandwidth**2
-    half_sq = np.square(Z).sum(axis=1) / (-2.0 * s2)
+    sq = np.square(Z).sum(axis=1)
+    if not (Z.shape[1] + 4) * 2.0**-23 * float(sq.max()) / float(s2) <= 1.0:  # Python floats overflow to inf quietly
+        raise InvalidInputError(f"bandwidth {spec.bandwidth:.3g} is too small for the float32 kernel rows of primal "
+                                "mode; use a larger --bandwidth or --mode dual")
+    half_sq = sq / (-2.0 * s2)
 
     def column(i):
         out = Z @ (Z[i] / s2)

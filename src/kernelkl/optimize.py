@@ -79,19 +79,6 @@ def _require_finite_norm(norm):
         raise NumericalFailureError("the weight norm is not finite after a gradient step; step_size is too large")
 
 
-def project_dual(alpha, K, norm_budget):
-    """Rescale alpha radially so alpha' K alpha <= norm_budget^2.
-
-    Radial rescaling, not the exact metric projection; feasible inputs pass
-    through unchanged.
-    """
-    q = float(alpha @ (K.entries @ alpha))
-    if not q <= norm_budget**2:  # NaN too
-        _require_finite_norm(q)
-        alpha = alpha * (norm_budget / np.sqrt(q))
-    return alpha
-
-
 def project_primal(beta, norm_budget):
     """Rescale beta radially so ||beta|| <= norm_budget."""
     nrm = float(np.linalg.norm(beta))

@@ -25,6 +25,8 @@ class GaussianPairSpec:
             raise InvalidInputError("dimension and sample_count must be >= 1")
         if not abs(self.correlation) < 1:
             raise InvalidInputError(f"correlation must lie in (-1, 1), got {self.correlation}")
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be nonnegative, got {self.seed}")
 
 
 def sample_gaussian_pairs(spec):

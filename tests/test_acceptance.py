@@ -25,7 +25,15 @@ from kernelkl.benchmark import small_data_benchmark_config
 from kernelkl.cli import main as cli_main
 from kernelkl.datasets import write_csv_dataset
 from kernelkl.fairness import AuditTable, audit, equality_of_opportunity
-from kernelkl.kernels import KernelSpec, apply_feature_map, build_gram, rbf_kernel, sample_feature_map
+from kernelkl.kernels import (
+    DEFAULT_FEATURE_DIM,
+    KernelSpec,
+    build_gram,
+    kernel_rows,
+    mean_landmark_features,
+    rbf_kernel,
+    sample_landmarks,
+)
 from kernelkl.mine import dv_objective_and_gradient, init_params, pack_params, unpack_params
 from kernelkl.objective import dual_gradient, dual_objective, primal_gradient, primal_objective
 from kernelkl.optimize import run_dual, run_primal
@@ -175,28 +183,35 @@ def test_08_representer_consistency():
 
 
 def test_09_feature_map_fidelity():
+    # landmark features phi(z) = k(z, P) W at 100 pairs drawn apart from the
+    # pool the landmarks P come from
     spec = KernelSpec(1.3)
-    fm = sample_feature_map(2, 2048, spec, seed=9)
     rng = np.random.default_rng(9)
-    errs = []
-    for _ in range(100):
-        x, y = rng.normal(size=2), rng.normal(size=2)
-        errs.append(abs(apply_feature_map(fm, x) @ apply_feature_map(fm, y) - rbf_kernel(x, y, spec)))
-    mean_err = float(np.mean(errs))
-
-    # primal and dual paths on the same 500-sample KL task
+    pairs = [(rng.normal(size=2), rng.normal(size=2)) for _ in range(100)]
     X = rng.normal(size=(250, 1))
     Y = rng.normal(loc=1.0, size=(250, 1))
+    lm = sample_landmarks(rng.normal(size=(1000, 2)), rng.normal(size=(1000, 2)), spec, DEFAULT_FEATURE_DIM, seed=9)
+
+    def phi(z):
+        return kernel_rows(lm, z[None])[0] @ lm.whitener
+
+    mean_err = float(np.mean([abs(phi(x) @ phi(y) - rbf_kernel(x, y, spec)) for x, y in pairs]))
+
+    # primal and dual paths on the same 500-sample KL task
     K = build_gram(X, Y, KernelSpec(1.0))
     _, dual_trace = run_dual(K, OptimizerConfig(step_size=0.05, max_iter=2000, seed=2))
-    fm2 = sample_feature_map(1, 2048, KernelSpec(1.0), seed=3)
-    PhiX, PhiY = apply_feature_map(fm2, X), apply_feature_map(fm2, Y)
-    _, primal_trace = run_primal(PhiX.mean(axis=0), PhiY, OptimizerConfig(step_size=0.5, max_iter=2000, seed=2))
+    lm1 = sample_landmarks(X, Y, KernelSpec(1.0), DEFAULT_FEATURE_DIM, seed=3)
+    _, primal_trace = run_primal(
+        mean_landmark_features(lm1, X),
+        kernel_rows(lm1, Y),
+        OptimizerConfig(step_size=0.5, max_iter=2000, seed=2),
+        lm1.whitener,
+    )
     gap = abs(primal_trace.estimate - dual_trace.estimate)
 
     ok = mean_err <= 0.03 and gap <= 0.05
     report("09 feature-map-fidelity", ok,
-           f"mean kernel error {mean_err:.4f} <= 0.03; primal/dual gap {gap:.4f} <= 0.05")
+           f"mean kernel error {mean_err:.2g} <= 0.03; primal/dual gap {gap:.4f} <= 0.05")
 
 
 def test_10_benchmark_identity():

@@ -530,3 +530,36 @@ class TestArgumentErrors:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+
+MI_ARGS = ["estimate-mi", "--data", "{data}", "--x-cols", "x1", "--y-cols", "y1"]
+
+
+class TestBadInputExitsOne:
+    """Bad input exits 1 with one ``error:`` line on stderr and nothing on stdout."""
+
+    @pytest.mark.parametrize("argv", [
+        # float32 kernel rows: the exponent's rounding bound is past 1
+        pytest.param([*MI_ARGS, "--bandwidth", bw], id=f"primal-bandwidth-{bw}") for bw in ("1e-4", "1e-6", "1e-150")
+    ] + [
+        # sigma^2 overflows or underflows
+        pytest.param([*MI_ARGS, "--bandwidth", bw, "--mode", mode], id=f"{mode}-bandwidth-{bw}")
+        for bw in ("1e200", "1e-300") for mode in ("primal", "dual")
+    ] + [
+        pytest.param([*MI_ARGS, *FAST, "--out", "{missing}"], id="estimate-mi-out"),
+        pytest.param(["estimate-kl", "--p", "{data}", "--q", "{data}", *FAST, "--out", "{missing}"], id="estimate-kl-out"),
+        pytest.param(["fairness", "--data", "{data}", "--pred-col", "x1", "--attr-col", "y1", *FAST,
+                      "--out", "{missing}"], id="fairness-out"),
+        pytest.param(["benchmark", "--estimators", "kkle", "--n", "50", "--trials", "2", "--rhos", "0.5", *FAST,
+                      "--out", "{missing}"], id="benchmark-out"),
+        pytest.param(["generate", "--dim", "1", "--rho", "0.5", "--n", "5", "--out", "{missing}"], id="generate-out"),
+        pytest.param(["generate", "--dim", "1", "--rho", "0.5", "--n", "5", "--seed", "-1", "--out", "{out}"],
+                     id="generate-negative-seed"),
+    ])
+    def test_error_line_and_exit_one(self, tmp_path, capsys, argv):
+        data = tmp_path / "pairs.csv"
+        assert main(["generate", "--dim", "1", "--rho", "0.5", "--n", "50", "--out", str(data)]) == 0
+        paths = {"data": data, "missing": tmp_path / "missing" / "out", "out": tmp_path / "out.csv"}
+        code, out, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -324,6 +324,15 @@ class TestEstimateMi:
         r2 = estimate_mi(pairs, [0], [1], seed=7)
         assert r1.kl_estimate == r2.kl_estimate
 
+    def test_bandwidth_too_small_for_float32_kernel_rows_refused(self):
+        # at 3e-4 the float32 kernel rows reached 9e6 and primal mode read 44431
+        # nats; dual mode, in float64, reads 0.025
+        pairs = sample_gaussian_pairs(GaussianPairSpec(1, 0.5, 2000, seed=0))
+        with pytest.raises(InvalidInputError, match="use a larger --bandwidth or --mode dual"):
+            estimate_mi(pairs, [0], [1], EstimatorConfig(bandwidth=3e-4))
+        dual = estimate_mi(pairs, [0], [1], EstimatorConfig(bandwidth=3e-4, mode="dual"))
+        assert abs(dual.kl_estimate) <= 0.05
+
     def test_column_order_symmetry_of_roles(self):
         # swapping which block is called x and which y leaves MI finite and close
         pairs = sample_gaussian_pairs(GaussianPairSpec(1, 0.8, 10_000, seed=14))

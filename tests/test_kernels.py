@@ -16,7 +16,6 @@ from kernelkl.kernels import (
     MEAN_CHUNK_ROWS,
     KernelRows,
     KernelSpec,
-    apply_feature_map,
     build_gram,
     kernel_rows,
     kernel_values,
@@ -27,7 +26,6 @@ from kernelkl.kernels import (
     pivoted_cholesky,
     pooled_subsample,
     rbf_kernel,
-    sample_feature_map,
     sample_landmarks,
     sq_distances,
 )
@@ -71,6 +69,12 @@ class TestRbfKernel:
             KernelSpec(0.0)
         with pytest.raises(InvalidInputError):
             KernelSpec(-1.0)
+
+    @pytest.mark.parametrize("bandwidth", [1e200, 1e-300])
+    def test_rejects_bandwidth_whose_square_is_not_a_normal_float(self, bandwidth):
+        # 1e200 squared overflows, 1e-300 squared underflows to 0
+        with pytest.raises(InvalidInputError, match="normal float"):
+            KernelSpec(bandwidth)
 
 
 class TestPairwiseDistances:
@@ -323,108 +327,60 @@ class TestMeanFeatureMap:
 
 
 class TestFeatureMap:
+    # phi(z) = k(z, P) W, the landmark features the estimator ships, at points
+    # drawn apart from the pool its landmarks come from
+    @staticmethod
+    def feature_map(dim, bandwidth, seed=0):
+        rng = np.random.default_rng(100 + dim)
+        lm = sample_landmarks(rng.normal(size=(1_500, dim)), rng.normal(size=(1_500, dim)), KernelSpec(bandwidth), 512, seed)
+
+        def phi(z):
+            return kernel_rows(lm, np.atleast_2d(z)) @ lm.whitener
+
+        return lm, phi
+
     def test_deterministic(self):
-        spec = KernelSpec(1.0)
-        fm1 = sample_feature_map(2, 64, spec, seed=7)
-        fm2 = sample_feature_map(2, 64, spec, seed=7)
-        assert np.array_equal(fm1.frequencies, fm2.frequencies)
-        assert np.array_equal(fm1.offsets, fm2.offsets)
+        (lm1, _), (lm2, _) = self.feature_map(2, 1.0, seed=7), self.feature_map(2, 1.0, seed=7)
+        for field in ("centre", "exponent", "whitener"):
+            assert np.array_equal(getattr(lm1, field), getattr(lm2, field))
 
     def test_different_seeds_differ(self):
-        spec = KernelSpec(1.0)
-        fm1 = sample_feature_map(2, 64, spec, seed=7)
-        fm2 = sample_feature_map(2, 64, spec, seed=8)
-        assert not np.array_equal(fm1.frequencies, fm2.frequencies)
+        (lm1, _), (lm2, _) = self.feature_map(2, 1.0, seed=7), self.feature_map(2, 1.0, seed=8)
+        assert not np.array_equal(lm1.exponent, lm2.exponent)
 
     def test_coordinate_bound(self):
-        fm = sample_feature_map(3, 128, KernelSpec(0.9), seed=0)
-        rng = np.random.default_rng(1)
-        phi = apply_feature_map(fm, rng.normal(size=3))
-        bound = np.sqrt(2.0 / 128)
-        assert np.all(np.abs(phi) <= bound + 1e-12)
-
-    def test_zero_offsets_at_origin(self):
-        fm = sample_feature_map(2, 16, KernelSpec(1.0), seed=0)
-        fm_zero = type(fm)(frequencies=fm.frequencies, offsets=np.zeros(16))
-        phi = apply_feature_map(fm_zero, np.zeros(2))
-        np.testing.assert_allclose(phi, np.sqrt(2.0 / 16))
+        # every coordinate, and the whole vector, within k(x, x) = 1
+        _, phi = self.feature_map(3, 0.9)
+        features = phi(np.random.default_rng(1).normal(size=(200, 3)))
+        assert np.linalg.norm(features, axis=1).max() <= 1 + 1e-5
 
     def test_inner_product_approximates_kernel(self):
-        spec = KernelSpec(1.0)
-        fm = sample_feature_map(1, 1024, spec, seed=3)
-        x, y = np.array([0.0]), np.array([1.0])
-        approx = apply_feature_map(fm, x) @ apply_feature_map(fm, y)
+        _, phi = self.feature_map(1, 1.0, seed=3)
+        approx = (phi(np.array([0.0])) @ phi(np.array([1.0])).T).item()
         assert abs(approx - 0.6065) <= 0.05
 
     def test_self_inner_product_near_one(self):
-        fm = sample_feature_map(1, 1024, KernelSpec(1.0), seed=3)
-        phi = apply_feature_map(fm, np.array([0.7]))
-        assert abs(phi @ phi - 1.0) <= 0.05
+        _, phi = self.feature_map(1, 1.0, seed=3)
+        features = phi(np.array([0.7]))
+        assert abs((features @ features.T).item() - 1.0) <= 0.05
 
     def test_mean_approximation_error(self):
-        # 100 random pairs at d=2048: mean |phi(x).phi(y) - k(x,y)| <= 0.03
+        # 100 random pairs: mean |phi(x).phi(y) - k(x,y)| <= 0.03
         spec = KernelSpec(1.3)
-        fm = sample_feature_map(2, 2048, spec, seed=11)
+        _, phi = self.feature_map(2, spec.bandwidth, seed=11)
         rng = np.random.default_rng(12)
         errs = []
         for _ in range(100):
             x, y = rng.normal(size=2), rng.normal(size=2)
-            approx = apply_feature_map(fm, x) @ apply_feature_map(fm, y)
-            errs.append(abs(approx - rbf_kernel(x, y, spec)))
+            errs.append(abs((phi(x) @ phi(y).T).item() - rbf_kernel(x, y, spec)))
         assert np.mean(errs) <= 0.03
 
     def test_matrix_apply_matches_rowwise(self):
-        fm = sample_feature_map(3, 32, KernelSpec(1.0), seed=5)
-        rng = np.random.default_rng(6)
-        Z = rng.normal(size=(10, 3))
-        batch = apply_feature_map(fm, Z)
-        rows = np.stack([apply_feature_map(fm, z) for z in Z])
-        np.testing.assert_allclose(batch, rows)
-
-    def test_dimension_mismatch(self):
-        fm = sample_feature_map(3, 8, KernelSpec(1.0), seed=0)
-        with pytest.raises(InvalidInputError):
-            apply_feature_map(fm, np.zeros(4))
-
-    def test_invalid_sizes(self):
-        with pytest.raises(InvalidInputError):
-            sample_feature_map(0, 8, KernelSpec(1.0))
-        with pytest.raises(InvalidInputError):
-            sample_feature_map(2, 0, KernelSpec(1.0))
-
-    @staticmethod
-    def reference(fm, Z, dtype, scale):
-        proj = Z.astype(dtype) @ fm.frequencies.T.astype(dtype)
-        proj += fm.offsets.astype(dtype)
-        np.cos(proj, out=proj)
-        proj *= scale
-        return proj
-
-    def test_float32_scaled_in_float32(self):
-        # the sqrt(2/d) scale is a float32 scalar: a float64 one would run the
-        # product in float64 and round it back (NEP 50), different bits
-        fm = sample_feature_map(3, 256, KernelSpec(0.8), seed=2)
-        Z = np.random.default_rng(3).normal(size=(200, 3))
-        got = apply_feature_map(fm, Z, dtype=np.float32)
-        assert got.dtype == np.float32
-        assert got.tobytes() == self.reference(fm, Z, np.float32, np.float32(np.sqrt(2.0 / 256))).tobytes()
-
-    def test_float64_unchanged(self):
-        fm = sample_feature_map(3, 256, KernelSpec(0.8), seed=2)
-        Z = np.random.default_rng(3).normal(size=(200, 3))
-        got = apply_feature_map(fm, Z)
-        assert got.dtype == np.float64
-        assert got.tobytes() == self.reference(fm, Z, np.float64, np.sqrt(2.0 / 256)).tobytes()
-
-
-    def test_mapped_out_array_gets_the_same_bits(self):
-        fm = sample_feature_map(2, 1024, KernelSpec(0.8), seed=4)
-        Z = np.random.default_rng(5).normal(size=(300, 2))
-        out = mapped_empty((300, 1024), np.float32)
-        assert out.shape == (300, 1024) and out.dtype == np.float32 and out.flags.writeable
-        got = apply_feature_map(fm, Z, dtype=np.float32, out=out)
-        assert got is out
-        assert out.tobytes() == apply_feature_map(fm, Z, dtype=np.float32).tobytes()
+        _, phi = self.feature_map(3, 1.0, seed=5)
+        Z = np.random.default_rng(6).normal(size=(10, 3))
+        rows = np.vstack([phi(z) for z in Z])
+        # the kernel rows agree bit for bit (TestFeatureRows); W's product, to rounding
+        np.testing.assert_allclose(phi(Z), rows, rtol=0, atol=1e-12)
 
 
 class TestFeatureRows:

@@ -7,16 +7,14 @@ from kernelkl import InvalidInputError, NumericalFailureError, OptimizerConfig
 from kernelkl.kernels import (
     KernelRows,
     KernelSpec,
-    apply_feature_map,
     build_gram,
     kernel_rows,
     mean_landmark_features,
     pivoted_cholesky,
-    sample_feature_map,
     sample_landmarks,
 )
-from kernelkl.objective import dual_gradient, dual_objective, primal_gradient
-from kernelkl.optimize import CONVERGENCE_WINDOW, ascend, project_dual, project_primal, run_dual, run_primal
+from kernelkl.objective import dual_gradient, primal_gradient, primal_objective
+from kernelkl.optimize import CONVERGENCE_WINDOW, ascend, project_primal, run_dual, run_primal
 
 
 def small_problem(n=20, seed=0, shift=1.0):
@@ -79,21 +77,6 @@ class TestAscend:
 
 
 class TestProjection:
-    def test_feasible_dual_unchanged(self):
-        _, _, K = small_problem()
-        alpha = np.full(K.size, 0.01)
-        out = project_dual(alpha, K, norm_budget=10.0)
-        assert out is alpha
-
-    def test_infeasible_dual_lands_on_boundary(self):
-        _, _, K = small_problem()
-        rng = np.random.default_rng(1)
-        alpha = rng.normal(size=K.size)
-        q = alpha @ K.entries @ alpha
-        M = 0.5 * np.sqrt(q)  # quadratic form is 4 M^2
-        out = project_dual(alpha, K, norm_budget=M)
-        assert out @ K.entries @ out == pytest.approx(M**2, abs=1e-9)
-
     def test_feasible_primal_unchanged(self):
         beta = np.array([0.1, 0.2])
         assert project_primal(beta, 1.0) is beta
@@ -110,11 +93,6 @@ class TestProjection:
         with np.errstate(over="ignore"), pytest.raises(NumericalFailureError, match="step_size"):
             project_primal(np.array(beta), 1.0)
 
-    def test_dual_non_finite_norm_raises(self):
-        _, _, K = small_problem()
-        with np.errstate(over="ignore"), pytest.raises(NumericalFailureError, match="step_size"):
-            project_dual(np.full(K.size, 1e200), K, norm_budget=10.0)
-
 
 class TestOverflowingStep:
     """A huge finite step is a numerical failure naming step_size, without numpy warnings."""
@@ -122,12 +100,16 @@ class TestOverflowingStep:
     @pytest.mark.parametrize("step_size", [1e30, 1e308])
     def test_primal(self, step_size):
         X, Y, _ = small_problem()
-        fm = sample_feature_map(1, 64, KernelSpec(1.0))
-        PhiX, PhiY = (apply_feature_map(fm, Z, dtype=np.float32) for Z in (X, Y))
+        lm = sample_landmarks(X, Y, KernelSpec(1.0), 64)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalFailureError, match="step_size is too large"):
-                run_primal(PhiX.mean(axis=0), PhiY, OptimizerConfig(step_size=step_size, max_iter=5))
+                run_primal(
+                    mean_landmark_features(lm, X),
+                    kernel_rows(lm, Y),
+                    OptimizerConfig(step_size=step_size, max_iter=5),
+                    lm.whitener,
+                )
 
     @pytest.mark.parametrize("step_size", [1e200, 1e308])
     def test_dual(self, step_size):
@@ -174,20 +156,23 @@ class TestRunDual:
         assert alpha @ K.entries @ alpha <= 0.5**2 + 1e-9
 
     def test_monotone_descent_full_batch(self):
-        # penalized objective non-increasing for a conservative full-batch step
+        # penalized objective non-increasing for a conservative full-batch step,
+        # on the pivoted-Cholesky rows of K that run_dual optimizes over
         X, Y, K = small_problem(n=10, seed=7)
         cfg = OptimizerConfig(step_size=0.01, max_iter=100, minibatch=1000, penalty_weight=1e-3)
         pw = cfg.penalty_weight
+        L, _ = pivoted_cholesky(lambda i: K.entries[:, i], K.size, K.size)
+        PhiX, PhiY = L[: K.n], L[K.n :]
 
-        def penalized(a):
-            return dual_objective(a, K) + pw * a @ K.entries @ a
+        def penalized(gamma):
+            return primal_objective(gamma, PhiX, PhiY) + pw * gamma @ gamma
 
-        alpha = np.zeros(K.size)
-        prev = penalized(alpha)
+        gamma = np.zeros(L.shape[1])
+        prev = penalized(gamma)
         for _ in range(100):
-            grad = dual_gradient(alpha, K, penalty_weight=pw)
-            alpha = project_dual(alpha - cfg.step_size * grad, K, cfg.norm_budget)
-            cur = penalized(alpha)
+            grad = primal_gradient(gamma, PhiX, PhiY, penalty_weight=pw)
+            gamma = project_primal(gamma - cfg.step_size * grad, cfg.norm_budget)
+            cur = penalized(gamma)
             assert cur <= prev + 1e-9
             prev = cur
 
@@ -230,33 +215,34 @@ class TestRunDual:
 class TestRunPrimal:
     @staticmethod
     def features(X, Y, d=256, seed=0, bandwidth=1.0):
-        fm = sample_feature_map(X.shape[1], d, KernelSpec(bandwidth), seed=seed)
-        return apply_feature_map(fm, X), apply_feature_map(fm, Y)
+        """run_primal's landmark-feature arguments: the mean of phi over X, the kernel rows of Y, and W."""
+        lm = sample_landmarks(X, Y, KernelSpec(bandwidth), d, seed=seed)
+        return mean_landmark_features(lm, X), kernel_rows(lm, Y), lm.whitener
 
     def test_same_distribution_small_estimate(self):
         rng = np.random.default_rng(31)
         X = rng.normal(size=(50, 1))
         Y = rng.normal(size=(50, 1))
-        PhiX, PhiY = self.features(X, Y)
-        _, trace = run_primal(PhiX.mean(axis=0), PhiY, OptimizerConfig(step_size=0.2, max_iter=200))
+        mean_phi_x, KY, W = self.features(X, Y)
+        _, trace = run_primal(mean_phi_x, KY, OptimizerConfig(step_size=0.2, max_iter=200), W)
         assert abs(trace.estimate) <= 0.05
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(33)
         X = rng.normal(size=(40, 1))
         Y = rng.normal(loc=1.0, size=(40, 1))
-        PhiX, PhiY = self.features(X, Y)
+        mean_phi_x, KY, W = self.features(X, Y)
         cfg = OptimizerConfig(max_iter=100, minibatch=16, seed=5)
-        _, t1 = run_primal(PhiX.mean(axis=0), PhiY, cfg)
-        _, t2 = run_primal(PhiX.mean(axis=0), PhiY, cfg)
+        _, t1 = run_primal(mean_phi_x, KY, cfg, W)
+        _, t2 = run_primal(mean_phi_x, KY, cfg, W)
         assert np.array_equal(t1.kl_values, t2.kl_values)
 
     def test_feasibility_throughout(self):
         rng = np.random.default_rng(35)
         X = rng.normal(size=(50, 1))
         Y = rng.normal(loc=3.0, size=(50, 1))
-        PhiX, PhiY = self.features(X, Y)
-        beta, _ = run_primal(PhiX.mean(axis=0), PhiY, OptimizerConfig(step_size=2.0, max_iter=200, norm_budget=1.0))
+        mean_phi_x, KY, W = self.features(X, Y)
+        beta, _ = run_primal(mean_phi_x, KY, OptimizerConfig(step_size=2.0, max_iter=200, norm_budget=1.0), W)
         assert np.linalg.norm(beta) <= 1.0 + 1e-9
 
     def test_agrees_with_dual_on_gaussian_kl(self):
@@ -267,8 +253,8 @@ class TestRunPrimal:
         K = build_gram(X, Y, KernelSpec(1.0))
         # the dual side runs a smaller step for longer than the primal side
         _, dual_trace = run_dual(K, OptimizerConfig(step_size=0.05, max_iter=2000, seed=2))
-        PhiX, PhiY = self.features(X, Y, d=2048, seed=3)
-        _, primal_trace = run_primal(PhiX.mean(axis=0), PhiY, OptimizerConfig(step_size=0.5, max_iter=2000, seed=2))
+        mean_phi_x, KY, W = self.features(X, Y, d=2048, seed=3)
+        _, primal_trace = run_primal(mean_phi_x, KY, OptimizerConfig(step_size=0.5, max_iter=2000, seed=2), W)
         assert abs(primal_trace.estimate - dual_trace.estimate) <= 0.05
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -312,8 +298,9 @@ class TestRunPrimal:
         rng = np.random.default_rng(39)
         X = rng.normal(size=(30, 1))
         Y = rng.normal(loc=0.5, size=(30, 1))
-        PhiX, PhiY = self.features(X, Y, d=64)
+        mean_phi_x, KY, W = self.features(X, Y, d=64)
         cfg = OptimizerConfig(step_size=0.5, max_iter=5000, minibatch=1000, gamma=1e-12, penalty_weight=1e-3)
-        beta, _ = run_primal(PhiX.mean(axis=0), PhiY, cfg)
-        grad = primal_gradient(beta, PhiX, PhiY, penalty_weight=cfg.penalty_weight)
+        beta, _ = run_primal(mean_phi_x, KY, cfg, W)
+        # the P side enters the gradient only through its mean
+        grad = primal_gradient(beta, mean_phi_x[None], KY @ W, penalty_weight=cfg.penalty_weight)
         assert np.linalg.norm(grad) <= 1e-4

@@ -50,6 +50,8 @@ class TestSampleGaussianPairs:
             GaussianPairSpec(dimension=0, correlation=0.5, sample_count=10)
         with pytest.raises(InvalidInputError):
             GaussianPairSpec(dimension=1, correlation=1.0, sample_count=10)
+        with pytest.raises(InvalidInputError, match="seed"):
+            GaussianPairSpec(dimension=1, correlation=0.5, sample_count=10, seed=-1)
 
 
 class TestAnalyticMi:
