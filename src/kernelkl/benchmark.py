@@ -74,6 +74,11 @@ class BenchmarkConfig:
         for rho in self.rhos:
             if not abs(rho) < 1:
                 raise InvalidInputError(f"correlation must lie in (-1, 1), got {rho}")
+        for dim in self.dims:
+            if dim < 1:
+                raise InvalidInputError(f"dimension must be >= 1, got {dim}")
+        if self.sample_count < 4:  # the fewest rows ``joint_and_product`` takes
+            raise InvalidInputError(f"sample_count must be >= 4 for an MI estimate, got {self.sample_count}")
 
 
 @dataclass(frozen=True)
@@ -143,7 +148,9 @@ def _run_trial(task):
 
 
 def run_benchmark(cfg, jobs=1):
-    """Run every cell of the grid; deterministic given cfg.seed regardless of jobs."""
+    """Run every cell of the grid in ``jobs`` processes; deterministic given cfg.seed regardless of jobs."""
+    if jobs < 1:
+        raise InvalidInputError(f"jobs must be >= 1, got {jobs}")
     cells = [
         (est, dim, rho)
         for est in cfg.estimators
@@ -222,16 +229,3 @@ def emit_report(report, format="csv"):
         return ("\n".join(lines) + "\n").encode("utf-8")
     raise InvalidInputError(f"unsupported report format {format!r}")
 
-
-def parse_csv_report(data):
-    """Round-trip helper: parse emit_report(..., 'csv') bytes back into value rows."""
-    text = data.decode("utf-8")
-    reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
-    if not rows or rows[0] != list(CSV_COLUMNS):
-        raise InvalidInputError("unrecognized report header")
-    floats = CSV_COLUMNS[2:]
-    return [
-        {"estimator": row[0], "dim": int(row[1]), **{c: float(v) for c, v in zip(floats, row[2:], strict=True)}}
-        for row in rows[1:]
-    ]

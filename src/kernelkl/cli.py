@@ -80,18 +80,14 @@ def _optimizer_flags(args):
     return {field: getattr(args, flag) for flag, field in fields.items() if getattr(args, flag) is not None}
 
 
-def _display(value, bits):
-    return value / LN2 if bits else value
-
-
-def _write_output(payload, out):
-    """Write a str or bytes payload to the file ``out``, or to stdout when it is None."""
+def _write_output(payload, out, mode=None):
+    """Write a str or bytes payload to the file ``out``, opened in ``mode`` if given, or to stdout when out is None."""
     binary = isinstance(payload, bytes)
     if not out:
         (sys.stdout.buffer if binary else sys.stdout).write(payload)
         return
     try:
-        with open(out, "wb" if binary else "w", encoding=None if binary else "utf-8") as fh:
+        with open(out, mode or ("wb" if binary else "w"), encoding=None if binary else "utf-8") as fh:
             fh.write(payload)
     except OSError as exc:
         raise InvalidInputError(f"cannot write {out}: {exc.strerror or exc}") from exc
@@ -99,7 +95,7 @@ def _write_output(payload, out):
 
 def _emit_estimate(result, args, label):
     unit = "bits" if args.bits else "nats"
-    value = _display(result.kl_estimate, args.bits)
+    value = result.kl_estimate / LN2 if args.bits else result.kl_estimate
     if args.format == "json":
         config = asdict(result.config)
         config.update(config.pop("optimizer"))
@@ -274,6 +270,9 @@ def main(argv=None):
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
+        if args.out:
+            # checked before the work, so an unwritable path wastes no run; appending keeps a file's bytes
+            _write_output(b"", args.out, "ab")
         return args.func(args)
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)

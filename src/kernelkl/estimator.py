@@ -67,9 +67,8 @@ class EstimatorConfig:
             raise InvalidInputError(f"mode must be 'primal' or 'dual', got {self.mode!r}")
         if self.feature_dim < 1:
             raise InvalidInputError("feature_dim must be >= 1")
-        # a chained comparison is False for NaN, so NaN and inf are rejected too
-        if self.bandwidth is not None and not 0 < self.bandwidth < np.inf:
-            raise InvalidInputError("bandwidth must be finite and positive")
+        if self.bandwidth is not None:
+            KernelSpec(self.bandwidth)  # the kernel's own rule for its length scale
 
     def with_seed(self, seed):
         return replace(self, optimizer=self.optimizer.with_seed(seed))

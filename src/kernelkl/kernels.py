@@ -30,7 +30,10 @@ from .errors import InvalidInputError
 #: well before it (rank ~180 at D = 1 + 1); at D = 3 and 5 it stops here.
 DEFAULT_FEATURE_DIM = 512
 #: Rows per product and exp of ``kernel_rows``: 128 KB at r = 512 in float32,
-#: so a block stays in L2 through both.
+#: so a block stays in L2 through both.  On a 2-core VM a 512-row call (one
+#: minibatch) took 373 us blocked against 513 us as one product at r = 512,
+#: but 152 against 117 us at r ~ 170; calls of 4k rows or more were faster
+#: as one product at both ranks.
 MAP_BLOCK_ROWS = 64
 #: Rows ``mean_landmark_features`` makes and sums in float64 at a time.  At
 #: 4096 rows a 100k-row CLI run's peak RSS rose by 3 MB.
@@ -58,7 +61,8 @@ class KernelSpec:
 
     def __post_init__(self):
         if not math.sqrt(np.finfo(float).tiny) <= self.bandwidth <= math.sqrt(np.finfo(float).max):
-            raise InvalidInputError(f"bandwidth must be a positive real whose square is a normal float, got {self.bandwidth}")
+            raise InvalidInputError(f"bandwidth must be finite and positive, with a square that is a normal float, "
+                                    f"got {self.bandwidth}")
 
 
 @dataclass(frozen=True)
@@ -243,16 +247,15 @@ def median_heuristic_bandwidth(X, Y, seed=0):
     """
     X, Y = as_sample_pair(X, Y)
     sq = pair_sq_distances(pooled_subsample(X, Y, BANDWIDTH_POINTS, seed))
-    med = 0.0
-    if sq.size:
-        # np.median(np.sqrt(sq)) bit for bit: sqrt is monotone, so the middle
-        # distances are the roots of the middle squared distances, and one
-        # partition in place finds them (np.median partitions twice for an
-        # even size, and np.partition would copy the distances first)
-        half = sq.size // 2
-        sq.partition(half)
-        middle = [sq[half]] if sq.size % 2 else [sq[:half].max(), sq[half]]
-        med = float(np.mean(np.sqrt(middle)))
+    # np.median(np.sqrt(sq)) bit for bit: sqrt is monotone, so the middle
+    # distances are the roots of the middle squared distances, and one
+    # partition in place finds them (np.median partitions twice for an even
+    # size, and np.partition would copy the distances first).  The two
+    # pooled rows ``as_sample_pair`` guarantees make at least one pair.
+    half = sq.size // 2
+    sq.partition(half)
+    middle = [sq[half]] if sq.size % 2 else [sq[:half].max(), sq[half]]
+    med = float(np.mean(np.sqrt(middle)))
     return med if med > 0 else 1.0
 
 
@@ -261,9 +264,11 @@ def mapped_empty(shape, dtype):
 
     Freeing it unmaps it at once.  glibc, freeing a malloc'd array of up to
     32 MiB, raises its mmap threshold, puts later arrays of that size on the
-    heap and keeps the heap resident: over twelve 10k-row fairness audits,
-    whose Q feature matrices are 16-41 MB, peak RSS grew from 79 to 103 MiB
-    with malloc'd matrices and stayed at 79 MiB with mapped ones.
+    heap and keeps the heap resident: ten D = 3 + 3 MI estimates on 8k-20k
+    rows, in mixed order in one process, peaked at 98 MB with mapped stored Q
+    matrices and at 117 MB with malloc'd ones.  The <= 7 MB Q matrices of a
+    10k-row fairness audit showed no difference (peak RSS 49.8-50.0 MB
+    malloc'd, 49.8-51.0 MB mapped).
     """
     dtype = np.dtype(dtype)
     size = math.prod(shape)
@@ -356,17 +361,14 @@ def kernel_rows(lm, x, out=None):
 def mean_landmark_features(lm, X):
     """Mean of phi(x) = k(x, P) W over the rows of X, in float32.
 
-    Kernel rows are made MEAN_CHUNK_ROWS at a time into one reused buffer and
-    summed in float64, so no n x r matrix is stored; W is applied once, to
-    their mean.
+    Kernel rows are made MEAN_CHUNK_ROWS at a time and summed in float64, so
+    no n x r matrix is stored; W is applied once, to their mean.
     """
     if X.shape[0] == 0:
         raise InvalidInputError("X must be a nonempty n x D sample matrix")
     total = np.zeros(lm.rank)
-    buf = np.empty((min(X.shape[0], MEAN_CHUNK_ROWS), lm.rank), np.float32)
     for start in range(0, X.shape[0], MEAN_CHUNK_ROWS):
-        rows = X[start : start + MEAN_CHUNK_ROWS]
-        total += kernel_rows(lm, rows, out=buf[: len(rows)]).sum(axis=0, dtype=np.float64)
+        total += kernel_rows(lm, X[start : start + MEAN_CHUNK_ROWS]).sum(axis=0, dtype=np.float64)
     return ((total / X.shape[0]) @ lm.whitener).astype(np.float32)
 
 

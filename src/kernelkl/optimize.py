@@ -69,21 +69,14 @@ class OptimizationTrace:
     estimate: float
 
 
-def _require_finite_norm(norm):
-    """Raise NumericalFailureError if a weight norm overflowed.
-
-    Rescaling by norm_budget / inf would zero the weights silently, or give
-    0 * inf = NaN where a weight is infinite.
-    """
-    if not math.isfinite(norm):
-        raise NumericalFailureError("the weight norm is not finite after a gradient step; step_size is too large")
-
-
 def project_primal(beta, norm_budget):
     """Rescale beta radially so ||beta|| <= norm_budget."""
     nrm = float(np.linalg.norm(beta))
     if not nrm <= norm_budget:  # NaN too
-        _require_finite_norm(nrm)
+        # rescaling by norm_budget / inf would zero the weights silently, or
+        # give 0 * inf = NaN where a weight is infinite
+        if not math.isfinite(nrm):
+            raise NumericalFailureError("the weight norm is not finite after a gradient step; step_size is too large")
         beta = beta * (norm_budget / nrm)
     return beta
 

@@ -1,3 +1,6 @@
+import csv
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,6 @@ from kernelkl import BenchmarkConfig, InvalidInputError, emit_report, run_benchm
 from kernelkl.benchmark import (
     CSV_COLUMNS,
     REPORT_JSON_SCHEMA,
-    parse_csv_report,
     small_data_benchmark_config,
 )
 from kernelkl.estimator import EstimatorConfig
@@ -44,6 +46,21 @@ class TestConfigValidation:
     def test_invalid_rho(self):
         with pytest.raises(InvalidInputError):
             tiny_config(rhos=(1.0,))
+
+    def test_invalid_dim(self):
+        # refused when the config is built, so the valid dim-1 cells never run
+        with pytest.raises(InvalidInputError, match="dimension must be >= 1"):
+            tiny_config(dims=(1, 0))
+
+    def test_too_few_samples(self):
+        with pytest.raises(InvalidInputError, match="sample_count must be >= 4"):
+            tiny_config(sample_count=3)
+        tiny_config(sample_count=4)
+
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_jobs_below_one(self, jobs):
+        with pytest.raises(InvalidInputError, match="jobs must be >= 1"):
+            run_benchmark(tiny_config(), jobs=jobs)
 
 
 class TestRunBenchmark:
@@ -83,6 +100,13 @@ class TestRunBenchmark:
         report = run_benchmark(cfg)
         assert len(report.rows) == 2  # both estimators, one rho
 
+    def test_worker_processes_give_the_same_rows(self):
+        cfg = tiny_config(estimators=("kkle", "mine"))
+        serial, pooled = ([asdict(row) for row in run_benchmark(cfg, jobs).rows] for jobs in (1, 2))
+        for row in serial + pooled:
+            row.pop("mean_runtime_seconds")
+        assert serial == pooled
+
 
 @pytest.fixture(scope="module")
 def report():
@@ -92,13 +116,13 @@ def report():
 class TestEmitReport:
     def test_csv_round_trip(self, report):
         data = emit_report(report, format="csv")
-        parsed = parse_csv_report(data)
+        parsed = list(csv.DictReader(data.decode("utf-8").splitlines()))
         assert len(parsed) == len(report.rows)
         for got, row in zip(parsed, report.rows):
             assert got["estimator"] == row.estimator
-            assert got["bias"] == pytest.approx(row.bias, rel=1e-8)
-            assert got["rmse"] == pytest.approx(row.rmse, rel=1e-8)
-            assert got["variance"] == pytest.approx(row.variance, rel=1e-8)
+            assert float(got["bias"]) == pytest.approx(row.bias, rel=1e-8)
+            assert float(got["rmse"]) == pytest.approx(row.rmse, rel=1e-8)
+            assert float(got["variance"]) == pytest.approx(row.variance, rel=1e-8)
 
     def test_csv_header(self, report):
         first_line = emit_report(report, format="csv").decode().splitlines()[0]
@@ -123,10 +147,6 @@ class TestEmitReport:
     def test_unknown_format(self, report):
         with pytest.raises(InvalidInputError):
             emit_report(report, format="yaml")
-
-    def test_parse_rejects_foreign_header(self):
-        with pytest.raises(InvalidInputError):
-            parse_csv_report(b"a,b,c\n1,2,3\n")
 
 
 class TestRoundedReferenceRow:

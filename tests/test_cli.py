@@ -106,6 +106,13 @@ class TestDatasets:
         with pytest.raises(InvalidInputError, match=message):
             read_csv_dataset(str(path))
 
+    @pytest.mark.parametrize("text, message", [("", "empty file"), ("\n1,2\n", "empty header row")])
+    def test_empty_file_or_header_refused(self, tmp_path, text, message):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        with pytest.raises(InvalidInputError, match=message):
+            read_csv_dataset(str(path))
+
     @pytest.mark.parametrize("text", ["a,b\n", "a,b", "a\n"])
     def test_header_only_file_has_no_rows(self, tmp_path, text):
         path = tmp_path / "header.csv"
@@ -132,6 +139,10 @@ class TestDatasets:
     def test_resolve_unknown_name(self):
         with pytest.raises(InvalidInputError, match="--x-cols"):
             resolve_columns(["x", "y"], ["w"], "--x-cols")
+
+    def test_resolve_index_out_of_range(self):
+        with pytest.raises(InvalidInputError, match="--y-cols: column index 2 out of range"):
+            resolve_columns(["x", "y"], ["2"], "--y-cols")
 
 
 class TestGenerate:
@@ -390,18 +401,12 @@ class TestBenchmarkCommand:
         assert len(lines) == 2
 
     def test_seed_determinism_of_statistics(self, tmp_path, capsys):
-        # everything except the wall-clock runtime column must repeat exactly
-        from kernelkl.benchmark import parse_csv_report
-
+        # everything except the wall-clock runtime column (the last) must repeat exactly
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run_cli(capsys, *self.ARGS, "--format", "csv", "--seed", "3", "--out", str(a))
         run_cli(capsys, *self.ARGS, "--format", "csv", "--seed", "3", "--out", str(b))
-        rows_a = parse_csv_report(a.read_bytes())
-        rows_b = parse_csv_report(b.read_bytes())
-        for ra, rb in zip(rows_a, rows_b):
-            ra.pop("mean_runtime_seconds")
-            rb.pop("mean_runtime_seconds")
-        assert rows_a == rows_b
+        rows_a, rows_b = ([row[:-1] for row in csv.reader(path.read_text().splitlines())] for path in (a, b))
+        assert rows_a == rows_b and len(rows_a) == 2
 
     def test_table_to_stdout(self, capsys):
         code = main(self.ARGS + ["--format", "table"])
@@ -553,6 +558,12 @@ class TestBadInputExitsOne:
         pytest.param(["benchmark", "--estimators", "kkle", "--n", "50", "--trials", "2", "--rhos", "0.5", *FAST,
                       "--out", "{missing}"], id="benchmark-out"),
         pytest.param(["generate", "--dim", "1", "--rho", "0.5", "--n", "5", "--out", "{missing}"], id="generate-out"),
+    ] + [
+        # bad grids are refused before any cell runs
+        pytest.param(["benchmark", "--estimators", "kkle", "--n", "50", "--trials", "2", "--rhos", "0.5", *FAST, *flags],
+                     id="benchmark" + "".join(flags))
+        for flags in (["--dims", "1,0"], ["--n", "3"], ["--jobs", "0"], ["--jobs", "-2"])
+    ] + [
         pytest.param(["generate", "--dim", "1", "--rho", "0.5", "--n", "5", "--seed", "-1", "--out", "{out}"],
                      id="generate-negative-seed"),
     ])
@@ -563,3 +574,21 @@ class TestBadInputExitsOne:
         code, out, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_unwritable_out_is_refused_before_the_run(self, tmp_path, capsys, monkeypatch):
+        def run_benchmark(*args, **kwargs):
+            raise AssertionError("the grid ran before --out was checked")
+
+        monkeypatch.setattr(kernelkl.cli, "run_benchmark", run_benchmark)
+        dest = tmp_path / "missing" / "r.csv"
+        code, _, err = run_cli(capsys, "benchmark", "--n", "50", "--trials", "2", "--out", str(dest))
+        assert code == 1 and err.startswith(f"error: cannot write {dest}: ")
+
+    def test_checking_out_keeps_an_existing_file(self, tmp_path, capsys):
+        data, dest = tmp_path / "pairs.csv", tmp_path / "out.json"
+        assert main(["generate", "--dim", "1", "--rho", "0.5", "--n", "50", "--out", str(data)]) == 0
+        dest.write_bytes(b"earlier output\n")
+        code, _, err = run_cli(capsys, "estimate-mi", "--data", str(data), "--x-cols", "nope", "--y-cols", "y1",
+                               "--out", str(dest))
+        assert code == 1 and "nope" in err
+        assert dest.read_bytes() == b"earlier output\n"

@@ -101,6 +101,10 @@ class TestEstimateKl:
             tracemalloc.stop()
         assert peak < 10_000_000
 
+    def test_unknown_mode(self):
+        with pytest.raises(InvalidInputError, match="mode must be 'primal' or 'dual'"):
+            EstimatorConfig(mode="exact")
+
     @pytest.mark.parametrize("mode", ["primal", "dual"])
     def test_feature_dim_must_be_positive(self, mode):
         with pytest.raises(InvalidInputError, match="feature_dim must be >= 1"):
@@ -255,6 +259,10 @@ class TestSplitPairs:
     def test_out_of_range_rejected(self):
         with pytest.raises(InvalidInputError):
             split_pairs(np.zeros((3, 4)), [0], [4])
+
+    def test_pairs_must_be_two_dimensional(self):
+        with pytest.raises(InvalidInputError, match="2-D"):
+            split_pairs(np.zeros(4), [0], [1])
 
     def test_empty_role_rejected(self):
         with pytest.raises(InvalidInputError):

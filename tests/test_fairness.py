@@ -86,6 +86,13 @@ class TestEqualityOfOdds:
         with pytest.raises(InvalidInputError):
             equality_of_odds(independent_table(100), fast_cfg())
 
+    def test_every_class_too_small(self):
+        # four classes of three rows, each below the 4-row minimum
+        rng = np.random.default_rng(5)
+        table = AuditTable(predictions=rng.normal(size=12), attribute=rng.normal(size=12), labels=np.arange(12) % 4)
+        with pytest.raises(InvalidInputError, match="every label class"):
+            equality_of_odds(table, fast_cfg())
+
     def test_independent_near_zero(self):
         table = independent_table(4000, seed=6, with_labels=True)
         assert equality_of_odds(table, fast_cfg(), seed=6) <= 0.03

@@ -64,6 +64,10 @@ class TestRbfKernel:
         with pytest.raises(InvalidInputError):
             rbf_kernel([np.nan], [0.0], KernelSpec(1.0))
 
+    def test_rejects_dimension_mismatch(self):
+        with pytest.raises(InvalidInputError, match="dimension mismatch"):
+            rbf_kernel([0.0, 1.0], [0.0], KernelSpec(1.0))
+
     def test_rejects_bad_bandwidth(self):
         with pytest.raises(InvalidInputError):
             KernelSpec(0.0)

@@ -179,6 +179,8 @@ class TestPrimalObjective:
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidInputError):
             primal_objective(np.zeros(7), self.PhiX, self.PhiY)
+        with pytest.raises(InvalidInputError, match="share one feature dimension"):
+            primal_objective(np.zeros(8), self.PhiX, self.PhiY[:, :7])
 
 
 class TestPrimalGradient:

@@ -28,6 +28,8 @@ class TestOptimizerConfig:
     @pytest.mark.parametrize("field,value", [
         *((f, v) for f in ("step_size", "gamma", "norm_budget") for v in (float("nan"), float("inf"), 0.0, -1.0)),
         *(("penalty_weight", v) for v in (float("nan"), float("inf"), -1.0)),
+        ("max_iter", 0),
+        ("minibatch", 0),
     ])
     def test_non_finite_or_out_of_range_rejected(self, field, value):
         with pytest.raises(InvalidInputError, match=field):

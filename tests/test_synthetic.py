@@ -78,6 +78,10 @@ class TestAnalyticMi:
         with pytest.raises(InvalidInputError):
             analytic_mi(1, -1.5)
 
+    def test_invalid_dimension(self):
+        with pytest.raises(InvalidInputError, match="dimension must be >= 1"):
+            analytic_mi(0, 0.5)
+
 
 class TestAnalyticGaussianKl:
     def test_identical_is_zero(self):
