@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError
-from .estimator import EstimatorConfig, estimate_mi, joint_and_product
+from .estimator import MIN_MI_ROWS, EstimatorConfig, estimate_mi, joint_and_product
 from .mine import MINE_OPTIMIZER, mine_estimate
 from .optimize import OptimizerConfig
 from .synthetic import GaussianPairSpec, analytic_mi, sample_gaussian_pairs
@@ -77,8 +77,8 @@ class BenchmarkConfig:
         for dim in self.dims:
             if dim < 1:
                 raise InvalidInputError(f"dimension must be >= 1, got {dim}")
-        if self.sample_count < 4:  # the fewest rows ``joint_and_product`` takes
-            raise InvalidInputError(f"sample_count must be >= 4 for an MI estimate, got {self.sample_count}")
+        if self.sample_count < MIN_MI_ROWS:
+            raise InvalidInputError(f"sample_count must be >= {MIN_MI_ROWS} for an MI estimate, got {self.sample_count}")
 
 
 @dataclass(frozen=True)
@@ -109,15 +109,15 @@ def small_data_benchmark_config(trials=20, seed=0, rhos=(0.2, 0.5, 0.9)):
     on the dual path at the default step, MINE at a damped step without the
     RKHS penalty.
     """
-    opt = OptimizerConfig(max_iter=100, minibatch=1_000_000)
+    budget = {"max_iter": 100, "minibatch": 1_000_000}
     return BenchmarkConfig(
         estimators=KNOWN_ESTIMATORS,
         dims=(1,),
         rhos=tuple(rhos),
         sample_count=100,
         trials=trials,
-        kkle_config=EstimatorConfig(mode="dual", optimizer=opt),
-        mine_config=replace(opt, step_size=0.2, penalty_weight=0.0),
+        kkle_config=EstimatorConfig(mode="dual", optimizer=OptimizerConfig(**budget)),
+        mine_config=replace(MINE_OPTIMIZER, **budget),
         seed=seed,
     )
 

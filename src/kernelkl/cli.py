@@ -165,7 +165,9 @@ def cmd_fairness(args):
         labels = data[:, label_idx]
         if np.any(labels != np.round(labels)):
             raise InvalidInputError(f"--label-col: column {header[label_idx]!r} holds non-integer labels")
-        labels = labels.astype(int)
+        if not np.all((labels >= -(2**63)) & (labels < 2**63)):
+            raise InvalidInputError(f"--label-col: column {header[label_idx]!r} holds labels outside the int64 range")
+        labels = labels.astype(np.int64)
     elif args.positive_class is not None:
         raise InvalidInputError("--positive-class requires --label-col")
     table = AuditTable(predictions=data[:, pred_idx], attribute=data[:, attr_idx], labels=labels)
@@ -222,8 +224,8 @@ def build_parser():
         "benchmark",
         help="bias/RMSE/variance grid over correlated-Gaussian tasks",
         description="--step, --max-iter, --gamma and --batch set both estimators' optimizers; an unset one "
-        "keeps each estimator's default (MINE: step 0.2, no penalty).  --budget and the kernel flags "
-        "(--mode, --features, --bandwidth) apply to the kernel estimator only.",
+        f"keeps each estimator's default (MINE: step {MINE_OPTIMIZER.step_size:g}, no penalty).  --budget and "
+        "the kernel flags (--mode, --features, --bandwidth) apply to the kernel estimator only.",
     )
     p_bench.add_argument("--estimators", type=_list_of(str.strip), default=("kkle", "mine"))
     p_bench.add_argument("--dims", type=_list_of(int), default=(1,))

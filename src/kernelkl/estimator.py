@@ -48,6 +48,9 @@ def derive_seed(seed, tag):
 #: than stored (0.43 s); a 100k-row run at D = 1 + 1 (72 MB) streams.
 MAX_STORED_KERNEL_BYTES = 48 * 2**20
 
+#: Fewest rows a mutual-information estimate takes.
+MIN_MI_ROWS = 4
+
 #: Multiplier on the median-heuristic bandwidth.  The plain median is
 #: too smooth for strongly peaked density ratios (high-correlation MI tasks
 #: cap well short of the truth); halving it restores capacity without hurting
@@ -183,8 +186,8 @@ def joint_and_product(pairs, x_cols, y_cols, seed):
     the two blocks, standing in for product-of-marginals sampling.
     """
     xs, ys = split_pairs(pairs, x_cols, y_cols)
-    if xs.shape[0] < 4:
-        raise InvalidInputError("need at least 4 rows to estimate mutual information")
+    if xs.shape[0] < MIN_MI_ROWS:
+        raise InvalidInputError(f"need at least {MIN_MI_ROWS} rows to estimate mutual information")
     dx = xs.shape[1]
     joint = np.hstack([xs, ys])
     del xs, ys  # from here, at most the two returned blocks and the permutation are held

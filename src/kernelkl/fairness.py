@@ -3,9 +3,10 @@
 Demographic parity is I(prediction; attribute); equality of odds conditions on
 the ground-truth label and is computed as the class-frequency-weighted sum of
 per-class mutual informations; equality of opportunity is the single-class
-case.  Attributes may be categorical (integer-coded) or continuous; columns
-with repeated values get a seeded uniform jitter of amplitude ``JITTER`` before
-kernel estimation so the Gram structure stays well conditioned.
+case.  Attributes may be categorical (integer-coded) or continuous; tied and
+categorical columns go to ``estimate_mi`` as given, as in the ``estimate-mi``
+command: the pivoted Cholesky factor behind either kernel path skips a repeated
+row, whose residual is zero.
 """
 
 from dataclasses import dataclass, field
@@ -13,13 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError
-from .estimator import EstimatorConfig, derive_seed, estimate_mi
+from .estimator import MIN_MI_ROWS, EstimatorConfig, derive_seed, estimate_mi
 
-_JITTER_TAG = 21
 _CLASS_TAG_BASE = 1000
-
-JITTER = 1e-3
-MIN_CLASS_ROWS = 4
 
 
 @dataclass(frozen=True)
@@ -58,19 +55,9 @@ class FairnessReport:
     skipped_classes: tuple = ()
 
 
-def _jitter_column(col, seed):
-    """Break ties with seeded uniform noise of amplitude JITTER; continuous columns pass through."""
-    if np.unique(col).size == col.size:
-        return col
-    rng = np.random.default_rng(seed)
-    return col + rng.uniform(-JITTER, JITTER, size=col.shape)
-
-
 def _column_mi(pred, attr, cfg, seed):
     if np.unique(pred).size == 1 or np.unique(attr).size == 1:
         return 0.0
-    pred = _jitter_column(pred, derive_seed(seed, _JITTER_TAG))
-    attr = _jitter_column(attr, derive_seed(seed, _JITTER_TAG + 1))
     pairs = np.column_stack([pred, attr])
     result = estimate_mi(pairs, [0], [1], cfg, seed=seed)
     # MI is nonnegative; clamp the optimizer's small negative excursions
@@ -85,8 +72,8 @@ def _class_mi(table, mask, rank, cfg, seed):
 def demographic_parity(table, cfg=None, seed=0):
     """I(prediction; attribute); zero means the criterion is met."""
     cfg = cfg or EstimatorConfig()
-    if len(table) < MIN_CLASS_ROWS:
-        raise InvalidInputError(f"need at least {MIN_CLASS_ROWS} rows")
+    if len(table) < MIN_MI_ROWS:
+        raise InvalidInputError(f"need at least {MIN_MI_ROWS} rows")
     return _column_mi(table.predictions, table.attribute, cfg, seed)
 
 
@@ -99,7 +86,7 @@ def _per_class_mi(table, cfg, seed):
     for rank, cls in enumerate(sorted(np.unique(table.labels).tolist())):
         mask = table.labels == cls
         count = int(mask.sum())
-        if count < MIN_CLASS_ROWS:
+        if count < MIN_MI_ROWS:
             skipped.append(cls)
             continue
         detail[cls] = (count, _class_mi(table, mask, rank, cfg, seed))
@@ -125,8 +112,8 @@ def equality_of_opportunity(table, positive_class, cfg=None, seed=0):
     if positive_class not in classes:
         raise InvalidInputError(f"class {positive_class!r} not present in the label column")
     mask = table.labels == positive_class
-    if int(mask.sum()) < MIN_CLASS_ROWS:
-        raise InvalidInputError(f"class {positive_class!r} has fewer than {MIN_CLASS_ROWS} rows")
+    if int(mask.sum()) < MIN_MI_ROWS:
+        raise InvalidInputError(f"class {positive_class!r} has fewer than {MIN_MI_ROWS} rows")
     return _class_mi(table, mask, classes.index(positive_class), cfg, seed)
 
 

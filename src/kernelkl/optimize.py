@@ -88,23 +88,24 @@ def ascend(step, weights, cfg):
     OptimizationTrace; a non-finite value raises NumericalFailureError.
     """
     rng = np.random.default_rng(cfg.seed)
-    kl_values = []
-    prev = None
+    kl_values = []  # a list: cfg.max_iter has no upper bound, so nothing is preallocated
+    smoothed = None
     stall = 0
-    for it in range(1, cfg.max_iter + 1):
-        weights, kl = step(weights, rng)
-        if not np.isfinite(kl):
-            raise NumericalFailureError(f"non-finite objective at iteration {it}", iteration=it)
-        kl_values.append(kl)
-        smoothed = float(np.mean(kl_values[-CONVERGENCE_WINDOW:]))
-        stall = stall + 1 if prev is not None and abs(smoothed - prev) <= cfg.gamma else 0
-        prev = smoothed
-        if stall >= CONVERGENCE_WINDOW:
-            break
-    kl_values = np.asarray(kl_values)
-    estimate = float(np.mean(kl_values[-CONVERGENCE_WINDOW:]))
+    # an overflowing step is reported by the projection or as a non-finite value, not by numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, cfg.max_iter + 1):
+            weights, kl = step(weights, rng)
+            if not np.isfinite(kl):
+                raise NumericalFailureError(f"non-finite objective at iteration {it}", iteration=it)
+            kl_values.append(kl)
+            # np.mean's own pairwise sum and division, without its per-call overhead
+            window = kl_values[-CONVERGENCE_WINDOW:]
+            prev, smoothed = smoothed, float(np.add.reduce(window)) / len(window)
+            stall = stall + 1 if prev is not None and abs(smoothed - prev) <= cfg.gamma else 0
+            if stall >= CONVERGENCE_WINDOW:
+                break
     trace = OptimizationTrace(
-        kl_values=kl_values, converged=stall >= CONVERGENCE_WINDOW, iterations=it, estimate=estimate
+        kl_values=np.asarray(kl_values), converged=stall >= CONVERGENCE_WINDOW, iterations=it, estimate=smoothed
     )
     return weights, trace
 
@@ -147,9 +148,7 @@ def run_primal(mean_phi_x, PhiY, cfg, whitener=None):
             grad = grad + 2.0 * cfg.penalty_weight * beta
         return project_primal(beta - cfg.step_size * grad, cfg.norm_budget), kl
 
-    # an overflowing step is reported by the projection, not by numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        return ascend(step, np.zeros(d, dtype=dtype), cfg)
+    return ascend(step, np.zeros(d, dtype=dtype), cfg)
 
 
 def run_dual(K, cfg):

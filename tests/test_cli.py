@@ -506,6 +506,39 @@ class TestFairnessCommand:
         assert code == 1
         assert "'label'" in err and "non-integer" in err
 
+    def test_labels_beyond_int64_exit_one(self, tmp_path, capsys):
+        rng = np.random.default_rng(7)
+        n = 200
+        label = np.where(rng.random(n) < 0.5, 0.0, 1e20)
+        path = tmp_path / "huge.csv"
+        write_csv_dataset(path, ["pred", "attr", "label"],
+                          np.column_stack([rng.normal(size=n), rng.integers(0, 2, size=n), label]))
+        code, out, err = run_cli(capsys, "fairness", "--data", str(path), "--pred-col", "pred",
+                                 "--attr-col", "attr", "--label-col", "label", *FAST)
+        assert code == 1 and out == ""
+        assert err.startswith("error: --label-col: ") and err.count("\n") == 1
+        assert "'label'" in err and "int64" in err
+
+    def test_imbalanced_binary_log(self, tmp_path, capsys):
+        # 10% positive labels, a 20% minority group and 0/1 predictions: most
+        # pooled rows tie, and the audit still runs on the columns as given
+        rng = np.random.default_rng(17)
+        n = 2000
+        y = (rng.random(n) < 0.1).astype(float)
+        group = (rng.random(n) < 0.2).astype(float)
+        pred = (rng.random(n) < np.where(y == 1, 0.7, 0.1) * np.where(group == 1, 1.2, 1.0)).astype(float)
+        path = tmp_path / "imbalanced.csv"
+        write_csv_dataset(path, ["pred", "group", "y"], np.column_stack([pred, group, y]))
+        code, out, err = run_cli(capsys, "fairness", "--data", str(path), "--pred-col", "pred",
+                                 "--attr-col", "group", "--label-col", "y", "--positive-class", "1", *FAST)
+        assert code == 0, err
+        payload = json.loads(out)
+        metrics = [payload["demographic_parity_mi"], payload["equality_of_odds_mi"],
+                   payload["equality_of_opportunity_mi"]]
+        metrics += [detail["mi"] for detail in payload["per_class_detail"].values()]
+        assert set(payload["per_class_detail"]) == {"0", "1"}
+        assert all(np.isfinite(v) and v >= 0.0 for v in metrics)
+
     def test_determinism(self, audit_file, capsys):
         args = ["fairness", "--data", audit_file, "--pred-col", "pred",
                 "--attr-col", "attr", "--seed", "8", *FAST]

@@ -179,3 +179,26 @@ class TestAudit:
         r1 = audit(table, fast_cfg(), seed=4, positive_class=0)
         r2 = audit(table, fast_cfg(), seed=4, positive_class=0)
         assert r1 == r2
+
+
+def plug_in_mi(a, b):
+    """Mutual information in nats of the empirical joint table of two 0/1 columns."""
+    joint = np.histogram2d(a, b, bins=2, range=[[-0.5, 1.5], [-0.5, 1.5]])[0] / a.size
+    outer = joint.sum(axis=1, keepdims=True) * joint.sum(axis=0, keepdims=True)
+    cells = joint > 0
+    return float(np.sum(joint[cells] * np.log(joint[cells] / outer[cells])))
+
+
+class TestImbalancedColumns:
+    @pytest.mark.parametrize("minority_share", [0.05, 0.2, 0.5])
+    @pytest.mark.parametrize("positive_rate", [0.05, 0.1, 0.3])
+    def test_parity_matches_plug_in_mi(self, positive_rate, minority_share):
+        # binary columns where most pooled pairs share a cell; the minority
+        # group is predicted positive at 1.5x the rate of the majority
+        rng = np.random.default_rng(16)
+        n = 2000
+        attr = (rng.random(n) < minority_share).astype(float)
+        pred = (rng.random(n) < positive_rate * np.where(attr == 1, 1.5, 1.0)).astype(float)
+        mi = demographic_parity(AuditTable(predictions=pred, attribute=attr), fast_cfg(), seed=16)
+        assert np.isfinite(mi) and mi >= 0.0
+        assert mi == pytest.approx(plug_in_mi(pred, attr), abs=0.02)

@@ -58,6 +58,14 @@ class TestAscend:
         assert not trace.converged and trace.iterations == 20
         assert trace.estimate == np.mean(np.arange(11, 21))
 
+    @pytest.mark.parametrize("max_iter", [3, 37])
+    def test_estimate_is_the_final_window_mean_bit_for_bit(self, max_iter):
+        values = np.random.default_rng(max_iter).normal(scale=100.0, size=max_iter)
+        it = iter(values.tolist())
+        _, trace = ascend(lambda w, rng: (w, next(it)), None, OptimizerConfig(max_iter=max_iter))
+        assert trace.iterations == max_iter
+        assert trace.estimate == float(np.mean(values[-CONVERGENCE_WINDOW:]))
+
     def test_non_finite_value_raises_with_iteration(self):
         values = iter([0.1, 0.2, float("nan")])
         with pytest.raises(NumericalFailureError) as info:
