@@ -108,20 +108,26 @@ def estimate_kl(X, Y, cfg=None):
     """Estimate KL(P || Q) in nats from samples X ~ P and Y ~ Q."""
     cfg = cfg or EstimatorConfig()
     X, Y = _validate_samples(X, Y)
+    # all points identical in both sets: divergence 0 by construction, after no iterations
+    degenerate = bool(np.all(X == X[0]) and np.all(Y == X[0]))
+    if degenerate:
+        bandwidth = 1.0
+        trace = OptimizationTrace(kl_values=np.zeros(0), converged=True, iterations=0, estimate=0.0)
+    else:
+        bandwidth, trace = _fit(X, Y, cfg)
+    return EstimateResult(
+        kl_estimate=trace.estimate,
+        trace=trace,
+        config=cfg,
+        sample_sizes=(X.shape[0], Y.shape[0]),
+        bandwidth=bandwidth,
+        degenerate=degenerate,
+    )
+
+
+def _fit(X, Y, cfg):
+    """Run the kernel estimator on validated samples; returns (bandwidth, OptimizationTrace)."""
     seed = cfg.optimizer.seed
-
-    if np.all(X == X[0]) and np.all(Y == X[0]):
-        # all points identical in both sets: divergence 0 by construction
-        trace = OptimizationTrace(kl_values=np.zeros(1), converged=True, iterations=0, estimate=0.0)
-        return EstimateResult(
-            kl_estimate=0.0,
-            trace=trace,
-            config=cfg,
-            sample_sizes=(X.shape[0], Y.shape[0]),
-            bandwidth=1.0,
-            degenerate=True,
-        )
-
     if cfg.bandwidth is not None:
         bandwidth = float(cfg.bandwidth)
     else:
@@ -151,14 +157,7 @@ def estimate_kl(X, Y, cfg=None):
         else:
             PhiY = KernelRows(landmarks, Y)
     _, trace = run_primal(mean_phi_x, PhiY, opt_cfg, whitener)
-
-    return EstimateResult(
-        kl_estimate=trace.estimate,
-        trace=trace,
-        config=cfg,
-        sample_sizes=(X.shape[0], Y.shape[0]),
-        bandwidth=bandwidth,
-    )
+    return bandwidth, trace
 
 
 def split_pairs(pairs, x_cols, y_cols):

@@ -120,6 +120,8 @@ def equality_of_opportunity(table, positive_class, cfg=None, seed=0):
 def audit(table, cfg=None, seed=0, positive_class=None):
     """Compute every metric the table supports and bundle them in one report."""
     cfg = cfg or EstimatorConfig()
+    if positive_class is not None and table.labels is None:
+        raise InvalidInputError("equality of opportunity requires a label column")
     dp = demographic_parity(table, cfg, seed=seed)
     eo = eop = None
     detail = {}

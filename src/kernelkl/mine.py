@@ -2,7 +2,7 @@
 
 The witness T is parameterized as t(z) = v . tanh(W z + b) + c and trained by
 minibatch SGD to maximize mean_P[t] - log mean_Q[exp(t)], with manual
-backpropagation from one hidden-layer evaluation per batch:
+backpropagation in one pass per step over the stacked P and Q batch:
 ``objective.dv_value_and_weights`` gives the bound and the weights over the
 Q-scores that backpropagate its log-mean-exp term.  The steps run under the
 kernel estimator's driver and settings (``optimize.ascend``, ``OptimizerConfig``)
@@ -84,23 +84,21 @@ def mine_forward(params, z):
     return float(out[0]) if single else out
 
 
-def _weighted_score_gradient(params, Z, A, u):
-    """Gradient of sum_i u_i t(z_i) with respect to the packed parameters; A = _hidden(params, Z)."""
-    S = (u[:, None] * (1.0 - A**2)) * params.v
-    gW = S.T @ Z
-    gb = S.sum(axis=0)
-    gv = A.T @ u
-    gc = float(u.sum())
-    return np.concatenate([gW.ravel(), gb, gv, [gc]])
-
-
 def dv_objective_and_gradient(params, Xb, Yb):
-    """Bound value mean_P[t] - log mean_Q[exp(t)] and its parameter gradient."""
-    Ax, Ay = _hidden(params, Xb), _hidden(params, Yb)
-    value, w = dv_value_and_weights(float(np.mean(Ax @ params.v + params.c)), Ay @ params.v + params.c)
-    grad = _weighted_score_gradient(params, Xb, Ax, np.full(Xb.shape[0], 1.0 / Xb.shape[0]))
-    grad -= _weighted_score_gradient(params, Yb, Ay, w)
-    return value, grad
+    """Bound value mean_P[t] - log mean_Q[exp(t)] and its parameter gradient.
+
+    One pass over the stacked batch z = [Xb; Yb]: the gradient is
+    sum_i u_i grad t(z_i), with u_i = 1/n on the P rows and minus the
+    softmax weights on the Q rows.
+    """
+    n = Xb.shape[0]
+    Z = np.concatenate([Xb, Yb])
+    A = _hidden(params, Z)
+    t = A @ params.v + params.c
+    value, w = dv_value_and_weights(float(np.mean(t[:n])), t[n:])
+    u = np.concatenate([np.full(n, 1.0 / n), -w])
+    S = (u[:, None] * (1.0 - A**2)) * params.v
+    return value, pack_params(MlpParams(W=S.T @ Z, b=S.sum(axis=0), v=A.T @ u, c=float(u.sum())))
 
 
 def mine_estimate(X, Y, cfg=None):

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import asdict, replace
@@ -63,6 +64,11 @@ class TestDatasets:
         write_csv_dataset(p1, ["u", "v"], data)
         write_csv_dataset(p2, ["u", "v"], data)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_unwritable_path_cites_name(self, tmp_path):
+        path = tmp_path / "missing-dir" / "out.csv"
+        with pytest.raises(InvalidInputError, match=re.escape(f"cannot write {path}")):
+            write_csv_dataset(path, ["x"], np.zeros((2, 1)))
 
     def test_missing_file_cites_name(self, tmp_path):
         with pytest.raises(InvalidInputError, match="nonexistent.csv"):

@@ -50,6 +50,10 @@ class TestEstimateKl:
         assert result.kl_estimate == 0.0
         assert result.degenerate
         assert result.converged
+        # the trace holds one value per iteration, here none
+        assert result.iterations == 0
+        assert len(result.trace.kl_values) == 0
+        assert result.trace.estimate == 0.0
 
     def test_mean_shift_oracle(self):
         # KL(N(0,1) || N(1,1)) = 0.5

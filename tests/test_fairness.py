@@ -8,6 +8,7 @@ from kernelkl import (
     demographic_parity,
     equality_of_odds,
     equality_of_opportunity,
+    fairness,
 )
 from kernelkl.estimator import EstimatorConfig
 from kernelkl.optimize import OptimizerConfig
@@ -173,6 +174,14 @@ class TestAudit:
         assert set(report.per_class_detail) == {0, 1}
         weights = [w for w, _ in report.per_class_detail.values()]
         assert sum(weights) == pytest.approx(1.0)
+
+    def test_positive_class_without_labels_refused_before_any_estimate(self, monkeypatch):
+        def no_estimate(*args, **kwargs):
+            raise AssertionError("estimate_mi ran before the refusal")
+
+        monkeypatch.setattr(fairness, "estimate_mi", no_estimate)
+        with pytest.raises(InvalidInputError, match="equality of opportunity requires a label column"):
+            audit(independent_table(500, seed=13), fast_cfg(), seed=13, positive_class=1)
 
     def test_deterministic(self):
         table = independent_table(600, seed=15, with_labels=True)
