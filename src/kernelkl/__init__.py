@@ -3,13 +3,13 @@
 The estimator maximizes the Donsker-Varadhan lower bound over an RKHS norm
 ball, solved as a convex problem over the coordinates of exact-kernel
 features: landmark (Nystrom) features, or in dual mode the rows of a pivoted
-Cholesky factor of the Gram matrix.  A one-hidden-layer neural baseline, a
-bias/RMSE/variance benchmark harness, and MI-based fairness metrics round out
-the package.
+Cholesky factor of the kernel matrix over every pooled sample.  A
+one-hidden-layer neural baseline, a bias/RMSE/variance benchmark harness, and
+MI-based fairness metrics round out the package.
 
 This namespace holds what users call.  Building blocks (kernels, the
-Donsker-Varadhan objective, the optimizers, the network witness) are imported
-from their submodules, e.g. ``from kernelkl.kernels import build_gram``.
+optimizer and its Donsker-Varadhan step, the network witness) are imported
+from their submodules, e.g. ``from kernelkl.kernels import sample_landmarks``.
 """
 
 from .benchmark import BenchmarkConfig, BenchmarkReport, BenchmarkRow, emit_report, run_benchmark

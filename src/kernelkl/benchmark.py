@@ -25,34 +25,6 @@ KNOWN_ESTIMATORS = ("kkle", "mine")
 
 CSV_COLUMNS = ("estimator", "dim", "rho", "true_mi", "bias", "rmse", "variance", "mean_runtime_seconds")
 
-REPORT_JSON_SCHEMA = {
-    "type": "object",
-    "required": ["schema_version", "rows"],
-    "properties": {
-        "schema_version": {"const": 1},
-        "rows": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": list(CSV_COLUMNS) + ["trials", "failures"],
-                "properties": {
-                    "estimator": {"enum": list(KNOWN_ESTIMATORS)},
-                    "dim": {"type": "integer", "minimum": 1},
-                    "rho": {"type": "number"},
-                    "true_mi": {"type": "number", "minimum": 0},
-                    "bias": {"type": "number"},
-                    "rmse": {"type": "number", "minimum": 0},
-                    "variance": {"type": "number", "minimum": 0},
-                    "mean_runtime_seconds": {"type": "number", "minimum": 0},
-                    "trials": {"type": "integer", "minimum": 2},
-                    "failures": {"type": "integer", "minimum": 0},
-                    "failed": {"type": "boolean"},
-                },
-            },
-        },
-    },
-}
-
 
 @dataclass(frozen=True)
 class BenchmarkConfig:

@@ -1,13 +1,16 @@
 """User-facing divergence and mutual-information estimation.
 
 KL divergence between two sample sets is estimated by maximizing the
-Donsker-Varadhan bound over an RKHS norm ball, on exact-kernel features of
-one of two kinds: landmark (Nystrom) features (the default, linear in the
-pooled sample count), or, in dual mode, the rows of a pivoted Cholesky factor
-of the Gram matrix over all pooled samples, which is never formed.  Both run
-the same optimizer.  Mutual information is the KL divergence between the
-joint sample and a product-of-marginals surrogate obtained by permuting the
-y-block within the same rows.
+Donsker-Varadhan bound over an RKHS norm ball, on exact-kernel features.  Both
+modes factor a pool of the pooled samples the same way, by pivoted Cholesky
+on kernel columns made on demand, and run the same optimizer.  Primal mode
+(the default, linear in the pooled sample count) factors a seeded subsample
+and extends the factor to every row as landmark (Nystrom) features; dual
+mode factors every pooled row and uses the rows of the factor, in float64,
+so it also serves bandwidths too small for float32 kernel rows.  Mutual
+information is the KL divergence between the joint sample and a
+product-of-marginals surrogate obtained by permuting the y-block within the
+same rows.
 """
 
 from dataclasses import dataclass, field, replace
@@ -19,13 +22,12 @@ from .kernels import (
     DEFAULT_FEATURE_DIM,
     KernelRows,
     KernelSpec,
+    _factor_pool,
     as_sample_pair,
     kernel_rows,
-    kernel_values,
     mapped_empty,
     mean_landmark_features,
     median_heuristic_bandwidth,
-    pivoted_cholesky,
     sample_landmarks,
 )
 from .optimize import OptimizationTrace, OptimizerConfig, run_primal
@@ -140,10 +142,8 @@ def _fit(X, Y, cfg):
     if cfg.mode == "dual":
         # K = L L' on the pooled samples, so the RKHS ball there is exactly
         # {L gamma : ||gamma|| <= M}: the rows of L are exact-kernel features
-        pooled = np.vstack([X, Y])
-        L, _ = pivoted_cholesky(
-            lambda i: kernel_values(pooled, pooled[i : i + 1], spec)[:, 0], pooled.shape[0], cfg.feature_dim
-        )
+        *_, L, _ = _factor_pool(np.vstack([X, Y]), spec, cfg.feature_dim, np.float64,
+                                "the float64 kernel columns of dual mode; use a larger --bandwidth")
         mean_phi_x, PhiY, whitener = L[: X.shape[0]].mean(axis=0), L[X.shape[0] :], None
     else:
         # The bound is linear in beta on P, so P enters only through its mean

@@ -1,20 +1,20 @@
-"""Gaussian RBF kernel, Gram matrices, pivoted Cholesky factors and landmark (Nystrom) features.
+"""Gaussian RBF kernel: pivoted Cholesky factors of a pool and landmark (Nystrom) features.
 
-The rows of a pivoted Cholesky factor K ~= L L' of the pooled samples are
-exact-kernel features, built from kernel columns on demand without forming K
-(dual mode).  Landmark features (primal mode, Williams & Seeger 2001) extend
-them to any point: pivoted Cholesky on a seeded subsample of the pooled rows
-picks landmarks P, and phi(z) = k(z, P) L_PP^-T, which on the subsample is
-z's row of L.  Rows of k(z, P) are made in float32, one product and one exp
-per block of MAP_BLOCK_ROWS rows, and are a fixed function of their sample,
-so no n x r matrix of them need be stored: ``KernelRows`` makes the rows it
-is indexed with, and ``mean_landmark_features`` sums chunks of rows.
+The rows of a pivoted Cholesky factor K ~= L L' of a pool of rows are
+exact-kernel features on that pool, built from kernel columns on demand
+without forming K.  Dual mode factors every pooled sample and uses the rows
+of L.  Landmark features (primal mode, Williams & Seeger 2001) extend them to
+any point: the same factor of a seeded subsample of the pooled rows picks
+landmarks P, and phi(z) = k(z, P) L_PP^-T, which on the subsample is z's row
+of L.  Rows of k(z, P) are made in float32, one product and one exp per
+block of MAP_BLOCK_ROWS rows, and are a fixed function of their sample, so
+no n x r matrix of them need be stored: ``KernelRows`` makes the rows it is
+indexed with, and ``mean_landmark_features`` sums chunks of rows.
 
-Pairwise distances (the median-heuristic bandwidth and the Gram matrix) are
-computed in numpy, one coordinate at a time in coordinate order as
-sum_k (a_k - b_k)^2.  That is the order scipy.spatial.distance sums in, so
-the results are bit-identical to scipy's ``pdist``/``cdist``, without the
-cost of importing scipy.
+Pairwise distances (the median-heuristic bandwidth) are computed in numpy,
+one coordinate at a time in coordinate order as sum_k (a_k - b_k)^2.  That is
+the order scipy.spatial.distance sums in, so the results are bit-identical to
+scipy's ``pdist``/``cdist``, without the cost of importing scipy.
 """
 
 import math
@@ -40,10 +40,8 @@ MAP_BLOCK_ROWS = 64
 MEAN_CHUNK_ROWS = 512
 #: Pooled rows ``sample_landmarks`` subsamples to and chooses landmarks from.
 LANDMARK_POOL = 2000
-#: Largest pooled sample count ``build_gram`` accepts.  The float64 Gram matrix
-#: is then 0.8 GB; building it holds that one copy plus one block of rows.
-#: ``pivoted_cholesky`` keeps its factor within the same MAX_GRAM_ROWS**2 entries.
-MAX_GRAM_ROWS = 10_000
+#: Most entries of a ``pivoted_cholesky`` factor: 0.8 GB in float64.
+MAX_FACTOR_ENTRIES = 10**8
 #: ``pivoted_cholesky`` stops once every diagonal residual of K - L L' is at most this.
 CHOLESKY_TOL = 1e-6
 #: Pooled points ``median_heuristic_bandwidth`` subsamples to.
@@ -63,23 +61,6 @@ class KernelSpec:
         if not math.sqrt(np.finfo(float).tiny) <= self.bandwidth <= math.sqrt(np.finfo(float).max):
             raise InvalidInputError(f"bandwidth must be finite and positive, with a square that is a normal float, "
                                     f"got {self.bandwidth}")
-
-
-@dataclass(frozen=True)
-class GramMatrix:
-    """Pairwise kernel evaluations over the pooled samples.
-
-    Rows 1..n correspond to X-samples, rows n+1..n+m to Y-samples.
-    Entries lie in (0, 1] with a unit diagonal and the matrix is symmetric PSD.
-    """
-
-    entries: np.ndarray
-    n: int
-    m: int
-
-    @property
-    def size(self):
-        return self.n + self.m
 
 
 def _as_2d(samples, name):
@@ -103,18 +84,6 @@ def as_sample_pair(X, Y):
     if X.shape[1] != Y.shape[1]:
         raise InvalidInputError(f"X has dimension {X.shape[1]} but Y has dimension {Y.shape[1]}")
     return X, Y
-
-
-def rbf_kernel(x, y, spec):
-    """Evaluate exp(-||x - y||^2 / (2 sigma^2)); always in (0, 1], symmetric."""
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise InvalidInputError("rbf_kernel inputs must be finite")
-    if x.shape != y.shape:
-        raise InvalidInputError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    sq = float(np.sum((x - y) ** 2))
-    return float(np.exp(-sq / (2.0 * spec.bandwidth**2)))
 
 
 def sq_distances(A, B, out=None):
@@ -156,38 +125,6 @@ def pair_sq_distances(Z):
     return out
 
 
-def kernel_values(A, B, spec, out=None):
-    """exp(-||a - b||^2 / (2 sigma^2)) for every row a of A and b of B, as a len(A) x len(B) array."""
-    out = sq_distances(A, B, out=out)
-    out /= -2.0 * spec.bandwidth**2
-    return np.exp(out, out=out)
-
-
-def build_gram(X, Y, spec):
-    """Kernel matrix over the pooled samples Z = X ++ Y (X rows first).
-
-    At most MAX_GRAM_ROWS pooled samples; larger inputs are refused before
-    anything quadratic in their size is allocated.  The distances are
-    written into the matrix DISTANCE_BLOCK_ROWS rows at a time and turned
-    into kernel values in place, so no second (n+m)^2 array is made.
-    """
-    X, Y = as_sample_pair(X, Y)
-    pooled = X.shape[0] + Y.shape[0]
-    if pooled > MAX_GRAM_ROWS:
-        raise InvalidInputError(
-            f"a {pooled} x {pooled} Gram matrix ({pooled**2 * 8 / 1e9:.1f} GB per copy) is "
-            f"above the limit of {MAX_GRAM_ROWS} pooled samples; use primal mode (--mode primal)"
-        )
-    Z = np.vstack([X, Y])
-    entries = np.empty((pooled, pooled))
-    for start in range(0, pooled, DISTANCE_BLOCK_ROWS):
-        block = slice(start, start + DISTANCE_BLOCK_ROWS)
-        kernel_values(Z[block], Z, spec, out=entries[block])
-    # (a - b)^2 == (b - a)^2 in floating point, so the entries come out
-    # exactly symmetric with a unit diagonal
-    return GramMatrix(entries=entries, n=X.shape[0], m=Y.shape[0])
-
-
 def pivoted_cholesky(column, size, max_rank):
     """Greedy pivoted Cholesky factor K ~= L L' of a size x size kernel matrix with unit diagonal.
 
@@ -199,15 +136,15 @@ def pivoted_cholesky(column, size, max_rank):
     size x rank: K[:, pivots] equals L @ L[pivots].T, L[pivots] is lower
     triangular, and every row of L has norm at most 1, the kernel's diagonal.
 
-    A factor of more than MAX_GRAM_ROWS**2 entries is refused before
+    A factor of more than MAX_FACTOR_ENTRIES entries is refused before
     anything is allocated.  L' is filled row by row, so only the rows
     reached take memory.
     """
     cap = min(size, max_rank)
-    if size * cap > MAX_GRAM_ROWS**2:
+    if size * cap > MAX_FACTOR_ENTRIES:
         raise InvalidInputError(
             f"dual mode factors {size} pooled samples into up to {cap} features "
-            f"({size * cap * 8 / 1e9:.1f} GB), above the limit of {MAX_GRAM_ROWS**2} entries; "
+            f"({size * cap * 8 / 1e9:.1f} GB), above the limit of {MAX_FACTOR_ENTRIES} entries; "
             "use primal mode (--mode primal) or fewer features (--features)"
         )
     Lt = np.empty((cap, size))
@@ -297,29 +234,25 @@ class LandmarkMap:
         return self.whitener.shape[0]
 
 
-def sample_landmarks(X, Y, spec, max_rank, seed=0):
-    """Landmarks by pivoted Cholesky on a seeded subsample of <= LANDMARK_POOL pooled rows.
+def _factor_pool(Z, spec, max_rank, dtype, kernel_use):
+    """Centre the pool Z on its mean c and factor its kernel matrix, K ~= L L' (``pivoted_cholesky``).
 
-    The factor stops at max_rank landmarks or at CHOLESKY_TOL (see
-    ``pivoted_cholesky``); W = L_PP^-T is computed once.  Each kernel column
-    of the pool is one float64 product on the centred rows,
+    Each kernel column is one float64 product on the centred rows,
     exp(z . p / s^2 - ||z||^2 / (2 s^2) - ||p||^2 / (2 s^2)): at D = 10, 512
-    columns took 8 ms on a 2-core VM, against 32 ms for ``kernel_values``,
-    which sums (z_k - p_k)^2 one coordinate at a time.
+    columns took 8 ms on a 2-core VM, against 32 ms for differences summed one
+    coordinate at a time.  Returns (c, Z - c, -||Z - c||^2 / (2 s^2), L, pivots).
 
-    Before the factor, a pool of radius R = max ||z - c|| is refused where the
-    float32 exponent of ``kernel_rows`` may round by more than 1: to first order
-    by (D + 4) 2^-24 times its terms' size, at most 2 R^2 / s^2 within R of c;
-    rows farther out lie farther from every landmark and err no more in value.
+    Before the factor, a pool of radius R = max ||z - c|| is refused where an
+    exponent of that form, computed in ``dtype``, may round by more than 1: to
+    first order by (D + 4) eps / 2 times its terms' size, at most 2 R^2 / s^2
+    within R of c.  ``kernel_use`` names those exponents in the refusal.
     """
-    Z = pooled_subsample(X, Y, LANDMARK_POOL, seed)
     centre = Z.mean(axis=0)
     Z = Z - centre
     s2 = spec.bandwidth**2
     sq = np.square(Z).sum(axis=1)
-    if not (Z.shape[1] + 4) * 2.0**-23 * float(sq.max()) / float(s2) <= 1.0:  # Python floats overflow to inf quietly
-        raise InvalidInputError(f"bandwidth {spec.bandwidth:.3g} is too small for the float32 kernel rows of primal "
-                                "mode; use a larger --bandwidth or --mode dual")
+    if not (Z.shape[1] + 4) * float(np.finfo(dtype).eps) * float(sq.max()) / float(s2) <= 1.0:  # Python floats overflow to inf quietly
+        raise InvalidInputError(f"bandwidth {spec.bandwidth:.3g} is too small for {kernel_use}")
     half_sq = sq / (-2.0 * s2)
 
     def column(i):
@@ -329,10 +262,24 @@ def sample_landmarks(X, Y, spec, max_rank, seed=0):
         return np.exp(out, out=out)
 
     L, pivots = pivoted_cholesky(column, Z.shape[0], max_rank)
-    exponent = np.empty((Z.shape[1] + 2, len(pivots)), np.float32)
-    exponent[:-2] = Z[pivots].T / s2
-    exponent[-2] = -0.5 / s2
-    exponent[-1] = half_sq[pivots]
+    return centre, Z, half_sq, L, pivots
+
+
+def sample_landmarks(X, Y, spec, max_rank, seed=0):
+    """Landmarks by pivoted Cholesky on a seeded subsample of <= LANDMARK_POOL pooled rows.
+
+    The factor (``_factor_pool``) stops at max_rank landmarks or at
+    CHOLESKY_TOL; W = L_PP^-T is computed once.  The pool is refused where the
+    float32 exponent of ``kernel_rows`` may round by more than 1; rows farther
+    from c than the pool lie farther from every landmark and err no more in value.
+    """
+    centre, Z, half_sq, L, pivots = _factor_pool(
+        pooled_subsample(X, Y, LANDMARK_POOL, seed), spec, max_rank, np.float32,
+        "the float32 kernel rows of primal mode; use a larger --bandwidth or --mode dual",
+    )
+    s2 = spec.bandwidth**2
+    # C order: on OpenBLAS, an F-order exponent gave a row made alone other bits than in a block
+    exponent = np.vstack([Z[pivots].T / s2, np.full(len(pivots), -0.5 / s2), half_sq[pivots]]).astype(np.float32, order="C")
     whitener = np.linalg.inv(L[pivots]).T
     return LandmarkMap(centre=centre, exponent=exponent, whitener=whitener)
 

@@ -3,7 +3,7 @@
 The witness T is parameterized as t(z) = v . tanh(W z + b) + c and trained by
 minibatch SGD to maximize mean_P[t] - log mean_Q[exp(t)], with manual
 backpropagation in one pass per step over the stacked P and Q batch:
-``objective.dv_value_and_weights`` gives the bound and the weights over the
+``optimize.dv_value_and_weights`` gives the bound and the weights over the
 Q-scores that backpropagate its log-mean-exp term.  The steps run under the
 kernel estimator's driver and settings (``optimize.ascend``, ``OptimizerConfig``)
 with the same ``CONVERGENCE_WINDOW`` stopping rule.  Parameters are
@@ -14,10 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
 from .estimator import EstimateResult, _validate_samples, derive_seed
-from .objective import dv_value_and_weights
-from .optimize import OptimizerConfig, ascend
+from .optimize import OptimizerConfig, ascend, dv_value_and_weights
 
 _INIT_TAG = 11
 _LOOP_TAG = 12
@@ -36,10 +34,6 @@ class MlpParams:
     b: np.ndarray  # (hidden,)
     v: np.ndarray  # (hidden,)
     c: float
-
-    @property
-    def input_dim(self):
-        return self.W.shape[1]
 
 
 def init_params(input_dim, hidden_width, seed=0):
@@ -70,18 +64,6 @@ def unpack_params(vec, input_dim, hidden_width):
 def _hidden(params, Z):
     """Hidden activations tanh(Z W' + b), one row per sample."""
     return np.tanh(Z @ params.W.T + params.b)
-
-
-def mine_forward(params, z):
-    """Evaluate t(z) for one D-vector or row-wise for an n x D matrix."""
-    z = np.asarray(z, dtype=float)
-    single = z.ndim == 1
-    if single:
-        z = z[None, :]
-    if z.shape[1] != params.input_dim:
-        raise InvalidInputError(f"input dimension {z.shape[1]} does not match network ({params.input_dim})")
-    out = _hidden(params, z) @ params.v + params.c
-    return float(out[0]) if single else out
 
 
 def dv_objective_and_gradient(params, Xb, Yb):

@@ -1,5 +1,11 @@
 """Projected minibatch SGD over the Donsker-Varadhan loss.
 
+Every witness function T is scored against samples from P and Q through the
+bound mean_i T(x_i) - log mean_j exp(T(y_j)).  ``dv_value_and_weights`` is
+the one place the bound and the gradient weights of its Q term are computed:
+each witness supplies its P-side mean and Q-side scores, and one max-shifted
+exp pass keeps large scores from overflowing.
+
 One driver, ``ascend``, serves the kernel witness and the MINE network.  Each
 caller passes a step that draws its minibatch from the driver's seeded
 generator, takes one gradient ascent step on the divergence estimate
@@ -9,12 +15,11 @@ that minibatch (available for free from the gradient computation).  The
 kernel witness is linear in its feature weights, so the P term of the bound
 is the weights dotted with the P-side mean (the kernel mean embedding); it is
 computed once, exactly, and only the log-mean-exp term over Q is sampled.
-Both kernel parameterizations run the one feature-space loop, ``run_primal``:
-the Gram parameterization on the rows of a pivoted Cholesky factor of K, the
-landmark parameterization on kernel rows against the landmarks, whitened
-inside the step.  Q kernel rows may be stored or made from the samples
-minibatch by minibatch (``kernels.KernelRows``); both take the same draws
-from the generator.
+Both kernel modes run the one feature-space loop, ``run_primal``: dual mode
+on the rows of a pivoted Cholesky factor of K over every pooled sample,
+primal mode on kernel rows against landmarks, whitened inside the step.  Q
+kernel rows may be stored or made from the samples minibatch by minibatch
+(``kernels.KernelRows``); both take the same draws from the generator.
 
 The stopping rule compares successive values of a moving average over the
 last ``CONVERGENCE_WINDOW`` = 10 minibatch values and requires the difference
@@ -29,8 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from .errors import InvalidInputError, NumericalFailureError
-from .kernels import KernelRows, pivoted_cholesky
-from .objective import dv_value_and_weights
+from .kernels import KernelRows
 
 DEFAULT_NORM_BUDGET = 10.0
 CONVERGENCE_WINDOW = 10
@@ -67,6 +71,18 @@ class OptimizationTrace:
     converged: bool
     iterations: int
     estimate: float
+
+
+def dv_value_and_weights(p_mean, q_scores):
+    """Bound value p_mean - log mean_j exp(q_j) and its softmax weights over q.
+
+    The weights are the gradient of the log-mean-exp term with respect to the
+    scores.  One exp pass serves both, and float32 scores stay float32.
+    """
+    mx = float(np.max(q_scores))
+    e = np.exp(q_scores - mx)
+    total = float(e.sum())
+    return p_mean - (mx + float(np.log(total / q_scores.size))), e / total
 
 
 def project_primal(beta, norm_budget):
@@ -150,18 +166,3 @@ def run_primal(mean_phi_x, PhiY, cfg, whitener=None):
 
     return ascend(step, np.zeros(d, dtype=dtype), cfg)
 
-
-def run_dual(K, cfg):
-    """Optimize the Gram parameterization; returns (alpha, OptimizationTrace).
-
-    ``run_primal`` on the exact-kernel features of the pivoted Cholesky
-    factor K = L L' (``kernels.pivoted_cholesky``): the witness on the
-    samples is L gamma, with RKHS norm ||gamma||.  alpha is nonzero only on
-    the pivots P, alpha_P = L_PP^-T gamma, so K alpha = L gamma and
-    alpha' K alpha = ||gamma||^2.  Deterministic given cfg.seed.
-    """
-    L, pivots = pivoted_cholesky(lambda i: K.entries[:, i], K.size, K.size)
-    gamma, trace = run_primal(L[: K.n].mean(axis=0), L[K.n :], cfg)
-    alpha = np.zeros(K.size)
-    alpha[pivots] = np.linalg.solve(L[pivots].T, gamma)
-    return alpha, trace

@@ -1,6 +1,8 @@
+import ast
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import kernelkl
 
@@ -48,3 +50,39 @@ def test_import_path_loads_no_scipy():
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+#: Public names that only code outside the package calls: perfbench's
+#: ``small-sample`` protocol runs ``small_data_benchmark_config``.
+OUTSIDE_CALLERS = {"small_data_benchmark_config"}
+
+
+def test_every_public_name_is_exported_or_used_in_the_package():
+    # a top-level public name in src/kernelkl is in kernelkl.__all__ or is
+    # referenced by package code other than its own definition; test-only
+    # helpers live in tests/reference.py
+    modules = [ast.parse(path.read_text()) for path in sorted(Path(kernelkl.__file__).parent.glob("*.py"))]
+    statements = [stmt for tree in modules for stmt in tree.body]
+
+    def defined(stmt):
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            return [stmt.name]
+        if isinstance(stmt, ast.Assign):
+            return [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            return [stmt.target.id]
+        return []
+
+    def referenced(stmt):
+        return {node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(stmt) if isinstance(node, (ast.Name, ast.Attribute))}
+
+    uses = [referenced(stmt) for stmt in statements]
+    unused = [
+        name
+        for i, stmt in enumerate(statements)
+        for name in defined(stmt)
+        if not name.startswith("_") and name not in kernelkl.__all__ and name not in OUTSIDE_CALLERS
+        and not any(name in names for j, names in enumerate(uses) if j != i)
+    ]
+    assert unused == []

@@ -9,12 +9,12 @@ import jsonschema
 from kernelkl import BenchmarkConfig, InvalidInputError, emit_report, run_benchmark
 from kernelkl.benchmark import (
     CSV_COLUMNS,
-    REPORT_JSON_SCHEMA,
     small_data_benchmark_config,
 )
 from kernelkl.estimator import EstimatorConfig
 from kernelkl.optimize import OptimizerConfig
 import json
+from reference import REPORT_JSON_SCHEMA
 
 
 def tiny_config(**overrides):

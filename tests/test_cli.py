@@ -351,7 +351,7 @@ class TestEstimateMi:
 
     @pytest.fixture
     def pairs_5001(self, tmp_path):
-        # 5001 joint rows plus 5001 permuted rows pool to 10002 > MAX_GRAM_ROWS
+        # 5001 joint rows plus 5001 permuted rows pool to 10002: 10002**2 > MAX_FACTOR_ENTRIES
         path = tmp_path / "pairs.csv"
         write_csv_dataset(path, ["x", "y"], np.random.default_rng(6).normal(size=(5_001, 2)))
         return str(path)
@@ -364,7 +364,7 @@ class TestEstimateMi:
         assert np.isfinite(json.loads(out)["value"])
 
     def test_dual_factor_beyond_limit_exit_one(self, pairs_5001, capsys):
-        # up to 10002 features over 10002 pooled rows: above MAX_GRAM_ROWS**2 entries
+        # up to 10002 features over 10002 pooled rows: above MAX_FACTOR_ENTRIES
         code, out, err = run_cli(capsys, "estimate-mi", "--data", pairs_5001,
                                  "--x-cols", "x", "--y-cols", "y", "--mode", "dual", "--features", "20000")
         assert code == 1
@@ -585,6 +585,10 @@ class TestBadInputExitsOne:
     @pytest.mark.parametrize("argv", [
         # float32 kernel rows: the exponent's rounding bound is past 1
         pytest.param([*MI_ARGS, "--bandwidth", bw], id=f"primal-bandwidth-{bw}") for bw in ("1e-4", "1e-6", "1e-150")
+    ] + [
+        # the same bound on dual mode's float64 kernel columns; this run used to
+        # print a saturated 1.974 nats as converged
+        pytest.param([*MI_ARGS, "--bandwidth", "1e-100", "--mode", "dual"], id="dual-bandwidth-1e-100"),
     ] + [
         # sigma^2 overflows or underflows
         pytest.param([*MI_ARGS, "--bandwidth", bw, "--mode", mode], id=f"{mode}-bandwidth-{bw}")

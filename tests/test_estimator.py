@@ -15,8 +15,8 @@ from kernelkl import (
 )
 from kernelkl import estimator
 from kernelkl.estimator import _OPTIMIZER_TAG, derive_seed, joint_and_product, split_pairs
-from kernelkl.kernels import DEFAULT_FEATURE_DIM, KernelRows, KernelSpec, build_gram, sample_landmarks
-from kernelkl.optimize import run_dual
+from kernelkl.kernels import DEFAULT_FEATURE_DIM, KernelRows, KernelSpec, sample_landmarks
+from reference import build_gram, run_dual
 
 
 def gaussian_sets(n, shift=0.0, scale=1.0, seed=0):
@@ -81,19 +81,21 @@ class TestEstimateKl:
 
     @pytest.mark.parametrize("minibatch", [16, 512])
     def test_dual_trace_equals_run_dual_on_the_gram_matrix(self, minibatch):
-        # kernel columns computed on demand and columns of build_gram give the
-        # same factor, so the two runs agree bit for bit
+        # dual mode's kernel columns (one product on the centred rows) and the
+        # columns of build_gram (differences summed per coordinate) agree to
+        # rounding, so the two factors and runs agree to rounding, not bit for bit
         rng = np.random.default_rng(12)
         X, Y = rng.normal(size=(60, 2)), rng.normal(loc=0.5, size=(45, 2))
         cfg = EstimatorConfig(mode="dual", optimizer=OptimizerConfig(max_iter=150, minibatch=minibatch, seed=7))
         result = estimate_kl(X, Y, cfg)
         K = build_gram(X, Y, KernelSpec(result.bandwidth))
         _, trace = run_dual(K, cfg.optimizer.with_seed(derive_seed(7, _OPTIMIZER_TAG)))
-        assert np.array_equal(result.trace.kl_values, trace.kl_values)
-        assert result.kl_estimate == trace.estimate
+        assert result.trace.kl_values.shape == trace.kl_values.shape
+        np.testing.assert_allclose(result.trace.kl_values, trace.kl_values, rtol=0, atol=1e-12)
+        assert abs(result.kl_estimate - trace.estimate) <= 1e-12
 
     def test_dual_refuses_oversized_factor_before_allocating(self):
-        # 10002 pooled rows x 10002 features is above MAX_GRAM_ROWS**2 entries
+        # 10002 pooled rows x 10002 features is above MAX_FACTOR_ENTRIES
         X, Y = gaussian_sets(5_001, seed=13)
         cfg = EstimatorConfig(mode="dual", feature_dim=20_000)
         tracemalloc.start()
@@ -344,6 +346,12 @@ class TestEstimateMi:
             estimate_mi(pairs, [0], [1], EstimatorConfig(bandwidth=3e-4))
         dual = estimate_mi(pairs, [0], [1], EstimatorConfig(bandwidth=3e-4, mode="dual"))
         assert abs(dual.kl_estimate) <= 0.05
+
+    def test_bandwidth_too_small_for_float64_kernel_columns_refused(self):
+        # every point its own cluster: dual mode read a saturated 1.974 nats here
+        pairs = sample_gaussian_pairs(GaussianPairSpec(1, 0.5, 50, seed=0))
+        with pytest.raises(InvalidInputError, match="float64 kernel columns of dual mode; use a larger --bandwidth"):
+            estimate_mi(pairs, [0], [1], EstimatorConfig(mode="dual", bandwidth=1e-100))
 
     def test_column_order_symmetry_of_roles(self):
         # swapping which block is called x and which y leaves MI finite and close

@@ -8,11 +8,11 @@ from kernelkl.mine import (
     MINE_OPTIMIZER,
     dv_objective_and_gradient,
     init_params,
-    mine_forward,
     pack_params,
     unpack_params,
 )
-from kernelkl.objective import dv_value_and_weights
+from kernelkl.optimize import dv_value_and_weights
+from reference import mine_forward
 
 
 class TestParams:

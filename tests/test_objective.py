@@ -5,14 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kernelkl import InvalidInputError
-from kernelkl.kernels import KernelSpec, build_gram, rbf_kernel
-from kernelkl.objective import (
+from kernelkl.kernels import KernelSpec
+from kernelkl.optimize import dv_value_and_weights
+from reference import (
+    build_gram,
     dual_gradient,
     dual_objective,
-    dv_value_and_weights,
     log_mean_exp,
     primal_gradient,
     primal_objective,
+    rbf_kernel,
 )
 
 

@@ -7,14 +7,13 @@ from kernelkl import InvalidInputError, NumericalFailureError, OptimizerConfig
 from kernelkl.kernels import (
     KernelRows,
     KernelSpec,
-    build_gram,
     kernel_rows,
     mean_landmark_features,
     pivoted_cholesky,
     sample_landmarks,
 )
-from kernelkl.objective import dual_gradient, primal_gradient, primal_objective
-from kernelkl.optimize import CONVERGENCE_WINDOW, ascend, project_primal, run_dual, run_primal
+from kernelkl.optimize import CONVERGENCE_WINDOW, ascend, project_primal, run_primal
+from reference import build_gram, dual_gradient, primal_gradient, primal_objective, run_dual
 
 
 def small_problem(n=20, seed=0, shift=1.0):
