@@ -43,7 +43,6 @@ def _add_estimator_flags(parser):
     parser.add_argument("--gamma", type=float, help="convergence tolerance")
     parser.add_argument("--batch", type=int, help="minibatch size")
     parser.add_argument("--seed", type=int, default=opt.seed)
-    parser.add_argument("--bits", action="store_true", help="display values in bits instead of nats")
 
 
 def _list_of(parse):
@@ -253,6 +252,9 @@ def build_parser():
     _add_estimator_flags(p_fair)
     p_fair.add_argument("--out", default=None)
     p_fair.set_defaults(func=cmd_fairness)
+
+    for p in (p_kl, p_mi, p_fair):
+        p.add_argument("--bits", action="store_true", help="display values in bits instead of nats")
 
     p_gen = sub.add_parser("generate", help="write a correlated-Gaussian CSV dataset")
     p_gen.add_argument("--dim", type=int, required=True)

@@ -6,7 +6,7 @@ per-class mutual informations; equality of opportunity is the single-class
 case.  Attributes may be categorical (integer-coded) or continuous; tied and
 categorical columns go to ``estimate_mi`` as given, as in the ``estimate-mi``
 command: the pivoted Cholesky factor behind either kernel path skips a repeated
-row, whose residual is zero.
+row, whose residual is zero.  Every metric's ``seed`` defaults to the config's.
 """
 
 from dataclasses import dataclass, field
@@ -65,11 +65,12 @@ def _column_mi(pred, attr, cfg, seed):
 
 
 def _class_mi(table, mask, rank, cfg, seed):
-    """MI within one label class; its seed derives from the class's rank among the sorted labels."""
-    return _column_mi(table.predictions[mask], table.attribute[mask], cfg, derive_seed(seed, _CLASS_TAG_BASE + rank))
+    """MI within one label class; its seed derives from the run seed and the class's rank among the sorted labels."""
+    seed = derive_seed(cfg.optimizer.seed if seed is None else seed, _CLASS_TAG_BASE + rank)
+    return _column_mi(table.predictions[mask], table.attribute[mask], cfg, seed)
 
 
-def demographic_parity(table, cfg=None, seed=0):
+def demographic_parity(table, cfg=None, seed=None):
     """I(prediction; attribute); zero means the criterion is met."""
     cfg = cfg or EstimatorConfig()
     if len(table) < MIN_MI_ROWS:
@@ -96,16 +97,15 @@ def _per_class_mi(table, cfg, seed):
     return {cls: (count / total, mi) for cls, (count, mi) in detail.items()}, tuple(skipped)
 
 
-def equality_of_odds(table, cfg=None, seed=0):
+def equality_of_odds(table, cfg=None, seed=None):
     """I(prediction; attribute | label) via the per-class decomposition."""
     cfg = cfg or EstimatorConfig()
     detail, _ = _per_class_mi(table, cfg, seed)
     return sum(weight * mi for weight, mi in detail.values())
 
 
-def equality_of_opportunity(table, positive_class, cfg=None, seed=0):
-    """I(prediction; attribute | label = positive_class)."""
-    cfg = cfg or EstimatorConfig()
+def _positive_class(table, positive_class):
+    """The rows of ``positive_class`` and its rank among the sorted labels, or a refusal before any estimate."""
     if table.labels is None:
         raise InvalidInputError("equality of opportunity requires a label column")
     classes = sorted(np.unique(table.labels).tolist())
@@ -114,23 +114,27 @@ def equality_of_opportunity(table, positive_class, cfg=None, seed=0):
     mask = table.labels == positive_class
     if int(mask.sum()) < MIN_MI_ROWS:
         raise InvalidInputError(f"class {positive_class!r} has fewer than {MIN_MI_ROWS} rows")
-    return _class_mi(table, mask, classes.index(positive_class), cfg, seed)
+    return mask, classes.index(positive_class)
 
 
-def audit(table, cfg=None, seed=0, positive_class=None):
+def equality_of_opportunity(table, positive_class, cfg=None, seed=None):
+    """I(prediction; attribute | label = positive_class)."""
+    cfg = cfg or EstimatorConfig()
+    return _class_mi(table, *_positive_class(table, positive_class), cfg, seed)
+
+
+def audit(table, cfg=None, seed=None, positive_class=None):
     """Compute every metric the table supports and bundle them in one report."""
     cfg = cfg or EstimatorConfig()
-    if positive_class is not None and table.labels is None:
-        raise InvalidInputError("equality of opportunity requires a label column")
+    positive = None if positive_class is None else _positive_class(table, positive_class)
     dp = demographic_parity(table, cfg, seed=seed)
     eo = eop = None
-    detail = {}
-    skipped = ()
+    detail, skipped = {}, ()
     if table.labels is not None:
         detail, skipped = _per_class_mi(table, cfg, seed)
         eo = sum(weight * mi for weight, mi in detail.values())
-        if positive_class is not None:
-            eop = equality_of_opportunity(table, positive_class, cfg, seed=seed)
+        if positive is not None:
+            eop = _class_mi(table, *positive, cfg, seed)
     return FairnessReport(
         demographic_parity_mi=dp,
         equality_of_odds_mi=eo,

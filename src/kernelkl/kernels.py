@@ -32,8 +32,9 @@ DEFAULT_FEATURE_DIM = 512
 #: Rows per product and exp of ``kernel_rows``: 128 KB at r = 512 in float32,
 #: so a block stays in L2 through both.  On a 2-core VM a 512-row call (one
 #: minibatch) took 373 us blocked against 513 us as one product at r = 512,
-#: but 152 against 117 us at r ~ 170; calls of 4k rows or more were faster
-#: as one product at both ranks.
+#: but 152 against 117 us at r ~ 170.  The blocks keep larger calls' times
+#: steady: at r = 183 a 4096-row call took 0.86-1.5 ms blocked, against
+#: 0.73-8.1 ms as one product (10th-90th percentiles, two processes).
 MAP_BLOCK_ROWS = 64
 #: Rows ``mean_landmark_features`` makes and sums in float64 at a time.  At
 #: 4096 rows a 100k-row CLI run's peak RSS rose by 3 MB.
@@ -293,14 +294,22 @@ def kernel_rows(lm, x, out=None):
     ||x||^2, whose float32 cancellation would swamp it for data far from the
     origin.
     """
+    n = x.shape[0]
     if out is None:
-        out = np.empty((x.shape[0], lm.rank), np.float32)
+        out = np.empty((n, lm.rank), np.float32)
+    # numpy makes a one-row product with another BLAS kernel (gemv) than a
+    # block, with other bits: a one-row tail joins the block before it, and a
+    # lone row is made in a block with a copy of itself
+    if n == 1:
+        out[:] = kernel_rows(lm, np.repeat(x, 2, axis=0))[:1]
+        return out
     d = x - lm.centre
-    aug = np.ones((x.shape[0], lm.exponent.shape[0]), np.float32)
+    aug = np.ones((n, lm.exponent.shape[0]), np.float32)
     aug[:, :-2] = d
     aug[:, -2] = np.square(d).sum(axis=1)
-    for start in range(0, x.shape[0], MAP_BLOCK_ROWS):
-        block = np.matmul(aug[start : start + MAP_BLOCK_ROWS], lm.exponent, out=out[start : start + MAP_BLOCK_ROWS])
+    for start in range(0, n - 1, MAP_BLOCK_ROWS):
+        stop = start + MAP_BLOCK_ROWS if start + MAP_BLOCK_ROWS < n - 1 else n
+        block = np.matmul(aug[start:stop], lm.exponent, out=out[start:stop])
         np.exp(block, out=block)
     return out
 

@@ -1,6 +1,8 @@
 """Neural baseline: a one-hidden-layer network trained on the same bound.
 
-The witness T is parameterized as t(z) = v . tanh(W z + b) + c and trained by
+The witness is t(z) = v . tanh(W z + b) + c, whose parameters are one vector
+[W.ravel(), b, v, c] that the optimizer steps as it steps the kernel witness's
+beta; ``_layers`` reads the layers off it as views.  It is trained by
 minibatch SGD to maximize mean_P[t] - log mean_Q[exp(t)], with manual
 backpropagation in one pass per step over the stacked P and Q batch:
 ``optimize.dv_value_and_weights`` gives the bound and the weights over the
@@ -9,8 +11,6 @@ kernel estimator's driver and settings (``optimize.ascend``, ``OptimizerConfig``
 with the same ``CONVERGENCE_WINDOW`` stopping rule.  Parameters are
 unconstrained; a run that produces non-finite values raises instead of clamping.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,48 +26,32 @@ HIDDEN_WIDTH = 64
 MINE_OPTIMIZER = OptimizerConfig(step_size=0.2, penalty_weight=0.0)
 
 
-@dataclass(frozen=True)
-class MlpParams:
-    """Weights of the affine -> tanh -> affine scalar map."""
-
-    W: np.ndarray  # (hidden, input_dim)
-    b: np.ndarray  # (hidden,)
-    v: np.ndarray  # (hidden,)
-    c: float
-
-
 def init_params(input_dim, hidden_width, seed=0):
-    """Seeded uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)] per layer."""
+    """Seeded parameter vector, uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)] per layer.
+
+    One draw for W and b and one for v and c take the stream four draws in that order would.
+    """
     rng = np.random.default_rng(seed)
-    lim1 = 1.0 / np.sqrt(input_dim)
-    lim2 = 1.0 / np.sqrt(hidden_width)
-    return MlpParams(
-        W=rng.uniform(-lim1, lim1, size=(hidden_width, input_dim)),
-        b=rng.uniform(-lim1, lim1, size=hidden_width),
-        v=rng.uniform(-lim2, lim2, size=hidden_width),
-        c=float(rng.uniform(-lim2, lim2)),
-    )
+    lim1, lim2 = 1.0 / np.sqrt(input_dim), 1.0 / np.sqrt(hidden_width)
+    return np.concatenate([rng.uniform(-lim1, lim1, size=hidden_width * (input_dim + 1)),
+                           rng.uniform(-lim2, lim2, size=hidden_width + 1)])
 
 
-def pack_params(params):
-    return np.concatenate([params.W.ravel(), params.b, params.v, [params.c]])
+def _layers(vec, input_dim):
+    """Views W (hidden x input_dim), b, v and the scalar c of a parameter vector."""
+    h = (vec.size - 1) // (input_dim + 2)
+    W = vec[: h * input_dim].reshape(h, input_dim)
+    return W, vec[h * input_dim : h * (input_dim + 1)], vec[h * (input_dim + 1) : -1], vec[-1]
 
 
-def unpack_params(vec, input_dim, hidden_width):
-    h, d = hidden_width, input_dim
-    W = vec[: h * d].reshape(h, d)
-    b = vec[h * d : h * d + h]
-    v = vec[h * d + h : h * d + 2 * h]
-    return MlpParams(W=W, b=b, v=v, c=float(vec[-1]))
-
-
-def _hidden(params, Z):
+def _hidden(vec, Z):
     """Hidden activations tanh(Z W' + b), one row per sample."""
-    return np.tanh(Z @ params.W.T + params.b)
+    W, b, _, _ = _layers(vec, Z.shape[1])
+    return np.tanh(Z @ W.T + b)
 
 
-def dv_objective_and_gradient(params, Xb, Yb):
-    """Bound value mean_P[t] - log mean_Q[exp(t)] and its parameter gradient.
+def dv_objective_and_gradient(vec, Xb, Yb):
+    """Bound value mean_P[t] - log mean_Q[exp(t)] and its gradient, a vector laid out as ``vec``.
 
     One pass over the stacked batch z = [Xb; Yb]: the gradient is
     sum_i u_i grad t(z_i), with u_i = 1/n on the P rows and minus the
@@ -75,12 +59,13 @@ def dv_objective_and_gradient(params, Xb, Yb):
     """
     n = Xb.shape[0]
     Z = np.concatenate([Xb, Yb])
-    A = _hidden(params, Z)
-    t = A @ params.v + params.c
+    _, _, v, c = _layers(vec, Z.shape[1])
+    A = _hidden(vec, Z)
+    t = A @ v + c
     value, w = dv_value_and_weights(float(np.mean(t[:n])), t[n:])
     u = np.concatenate([np.full(n, 1.0 / n), -w])
-    S = (u[:, None] * (1.0 - A**2)) * params.v
-    return value, pack_params(MlpParams(W=S.T @ Z, b=S.sum(axis=0), v=A.T @ u, c=float(u.sum())))
+    S = (u[:, None] * (1.0 - A**2)) * v
+    return value, np.concatenate([(S.T @ Z).ravel(), S.sum(axis=0), A.T @ u, [u.sum()]])
 
 
 def mine_estimate(X, Y, cfg=None):
@@ -100,15 +85,10 @@ def mine_estimate(X, Y, cfg=None):
             Yb = Y[rng.integers(0, m, size=batch)]
         # ascent on the bound; the tracked value is the incoming iterate's,
         # which the gradient computation produces for free
-        value, grad = dv_objective_and_gradient(unpack_params(vec, input_dim, HIDDEN_WIDTH), Xb, Yb)
+        value, grad = dv_objective_and_gradient(vec, Xb, Yb)
         return vec + cfg.step_size * grad, value
 
-    params0 = init_params(input_dim, HIDDEN_WIDTH, seed=derive_seed(cfg.seed, _INIT_TAG))
-    _, trace = ascend(step, pack_params(params0), cfg.with_seed(derive_seed(cfg.seed, _LOOP_TAG)))
-    return EstimateResult(
-        kl_estimate=trace.estimate,
-        trace=trace,
-        config=cfg,
-        sample_sizes=(n, m),
-        bandwidth=float("nan"),
-    )
+    vec0 = init_params(input_dim, HIDDEN_WIDTH, seed=derive_seed(cfg.seed, _INIT_TAG))
+    _, trace = ascend(step, vec0, cfg.with_seed(derive_seed(cfg.seed, _LOOP_TAG)))
+    return EstimateResult(kl_estimate=trace.estimate, trace=trace, config=cfg, sample_sizes=(n, m),
+                          bandwidth=float("nan"))

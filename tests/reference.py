@@ -14,7 +14,7 @@ import numpy as np
 from kernelkl import InvalidInputError
 from kernelkl.benchmark import CSV_COLUMNS, KNOWN_ESTIMATORS
 from kernelkl.kernels import DISTANCE_BLOCK_ROWS, as_sample_pair, pivoted_cholesky, sq_distances
-from kernelkl.mine import _hidden
+from kernelkl.mine import _hidden, _layers
 from kernelkl.optimize import dv_value_and_weights, run_primal
 
 
@@ -144,15 +144,17 @@ def run_dual(K, cfg):
     return alpha, trace
 
 
-def mine_forward(params, z):
-    """Evaluate the MINE network t(z) for one D-vector or row-wise for an n x D matrix."""
+def mine_forward(vec, z):
+    """Evaluate the MINE network of parameter vector ``vec`` at one D-vector, or row-wise on an n x D matrix."""
     z = np.asarray(z, dtype=float)
     single = z.ndim == 1
     if single:
         z = z[None, :]
-    if z.shape[1] != params.W.shape[1]:
-        raise InvalidInputError(f"input dimension {z.shape[1]} does not match network ({params.W.shape[1]})")
-    out = _hidden(params, z) @ params.v + params.c
+    # a network on D inputs and h hidden units has h (D + 2) + 1 parameters
+    if (vec.size - 1) % (z.shape[1] + 2):
+        raise InvalidInputError(f"{vec.size} parameters make no network on {z.shape[1]} inputs")
+    _, _, v, c = _layers(vec, z.shape[1])
+    out = _hidden(vec, z) @ v + c
     return float(out[0]) if single else out
 
 

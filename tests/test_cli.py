@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -20,7 +21,10 @@ from kernelkl import (
 )
 from kernelkl.cli import build_parser, main
 from kernelkl.datasets import read_csv_dataset, resolve_columns, write_csv_dataset
+from kernelkl.estimator import EstimateResult
+from kernelkl.fairness import FairnessReport
 from kernelkl.mine import MINE_OPTIMIZER
+from kernelkl.optimize import OptimizationTrace
 
 FAST = ["--max-iter", "200"]
 
@@ -500,6 +504,16 @@ class TestFairnessCommand:
         assert code == 1
         assert "--label-col" in err
 
+    def test_absent_positive_class_exit_one_before_any_estimate(self, audit_file, capsys, monkeypatch):
+        def estimate_mi(*args, **kwargs):
+            raise AssertionError("estimate_mi ran before the refusal")
+
+        monkeypatch.setattr(kernelkl.fairness, "estimate_mi", estimate_mi)
+        code, out, err = run_cli(capsys, "fairness", "--data", audit_file, "--pred-col", "pred", "--attr-col", "attr",
+                                 "--label-col", "label", "--positive-class", "7")
+        assert (code, out) == (1, "")
+        assert err == "error: class 7 not present in the label column\n"
+
     def test_non_integer_labels_exit_one(self, tmp_path, capsys):
         rng = np.random.default_rng(7)
         n = 200
@@ -574,6 +588,65 @@ class TestArgumentErrors:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+
+class ReadRecorder(argparse.Namespace):
+    """A parsed namespace that records the names of the attributes read from it."""
+
+    def __getattribute__(self, name):
+        if not name.startswith("_") and name != "reads":
+            self.__dict__.setdefault("reads", set()).add(name)
+        return object.__getattribute__(self, name)
+
+
+class TestEveryFlagIsRead:
+    """A flag a subcommand accepts changes what it does: the command reads it."""
+
+    COMMANDS = {
+        "estimate-kl": ["--p", "{data}", "--q", "{data}"],
+        "estimate-mi": ["--data", "{data}", "--x-cols", "x1", "--y-cols", "y1"],
+        "benchmark": [],
+        "fairness": ["--data", "{data}", "--pred-col", "x1", "--attr-col", "y1"],
+        "generate": ["--dim", "1", "--rho", "0.5", "--n", "10", "--out", "{out}"],
+    }
+
+    @staticmethod
+    def accepted_flags(command):
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        return {a.dest for a in sub.choices[command]._actions if a.dest != "help"}
+
+    @staticmethod
+    def stub_estimators(monkeypatch):
+        def result(cfg, *sizes):
+            trace = OptimizationTrace(kl_values=np.zeros(0), converged=True, iterations=0, estimate=0.0)
+            return EstimateResult(kl_estimate=0.0, trace=trace, config=cfg, sample_sizes=sizes, bandwidth=1.0)
+
+        monkeypatch.setattr(kernelkl.cli, "estimate_kl", lambda X, Y, cfg: result(cfg, len(X), len(Y)))
+        monkeypatch.setattr(kernelkl.cli, "estimate_mi", lambda data, x, y, cfg: result(cfg, len(data), len(data)))
+        monkeypatch.setattr(kernelkl.cli, "run_benchmark", lambda cfg, jobs: kernelkl.BenchmarkReport((), cfg))
+        monkeypatch.setattr(kernelkl.cli, "audit", lambda *args, **kwargs: FairnessReport(0.0))
+
+    def test_the_suite_covers_every_subcommand(self):
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        assert set(sub.choices) == set(self.COMMANDS)
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_every_accepted_flag_is_read(self, command, tmp_path, capsys, monkeypatch):
+        data = tmp_path / "pairs.csv"
+        assert main(["generate", "--dim", "1", "--rho", "0.5", "--n", "20", "--out", str(data)]) == 0
+        argv = [command, *(arg.format(data=data, out=tmp_path / "out.csv") for arg in self.COMMANDS[command])]
+        args = build_parser().parse_args(argv, namespace=ReadRecorder())
+        args.reads.clear()  # parsing itself looks up every default
+        monkeypatch.setattr(kernelkl.cli, "build_parser", lambda: argparse.Namespace(parse_args=lambda argv: args))
+        self.stub_estimators(monkeypatch)
+        assert main(argv) == 0
+        assert self.accepted_flags(command) - args.reads == set()
+
+    def test_benchmark_has_no_bits_flag(self, capsys, monkeypatch):
+        # the report is in nats, and a flag the command would ignore is refused
+        self.stub_estimators(monkeypatch)
+        code, _, err = run_cli(capsys, "benchmark", "--bits")
+        assert code == 1 and "--bits" in err
 
 
 MI_ARGS = ["estimate-mi", "--data", "{data}", "--x-cols", "x1", "--y-cols", "y1"]

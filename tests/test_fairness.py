@@ -183,6 +183,46 @@ class TestAudit:
         with pytest.raises(InvalidInputError, match="equality of opportunity requires a label column"):
             audit(independent_table(500, seed=13), fast_cfg(), seed=13, positive_class=1)
 
+    @pytest.fixture()
+    def estimate_calls(self, monkeypatch):
+        calls = []
+        estimate_mi = fairness.estimate_mi
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return estimate_mi(*args, **kwargs)
+
+        monkeypatch.setattr(fairness, "estimate_mi", counted)
+        return calls
+
+    @pytest.mark.parametrize("positive_class,message", [(7, "not present"), (2, "fewer than")])
+    def test_bad_positive_class_refused_before_any_estimate(self, estimate_calls, positive_class, message):
+        table = independent_table(10_000, seed=13, with_labels=True)
+        labels = table.labels.copy()
+        labels[:3] = 2
+        table = AuditTable(predictions=table.predictions, attribute=table.attribute, labels=labels)
+        with pytest.raises(InvalidInputError, match=message):
+            audit(table, fast_cfg(), seed=13, positive_class=positive_class)
+        assert estimate_calls == []
+
+    def test_valid_audit_makes_four_estimates(self, estimate_calls):
+        # parity, one per class, and the positive class once more
+        audit(independent_table(400, seed=13, with_labels=True), fast_cfg(), seed=13, positive_class=1)
+        assert len(estimate_calls) == 4
+
+    @pytest.mark.parametrize("metric", [
+        lambda table, cfg, **seed: audit(table, cfg, positive_class=1, **seed),
+        lambda table, cfg, **seed: demographic_parity(table, cfg, **seed),
+        lambda table, cfg, **seed: equality_of_odds(table, cfg, **seed),
+        lambda table, cfg, **seed: equality_of_opportunity(table, 1, cfg, **seed),
+    ], ids=["audit", "demographic_parity", "equality_of_odds", "equality_of_opportunity"])
+    def test_seed_defaults_to_the_config_seed(self, metric):
+        table = independent_table(400, seed=17, with_labels=True)
+        cfg = EstimatorConfig(optimizer=OptimizerConfig(max_iter=100))
+        seeded = EstimatorConfig(optimizer=OptimizerConfig(max_iter=100, seed=5))
+        assert metric(table, seeded) == metric(table, cfg, seed=5)
+        assert metric(table, cfg) == metric(table, cfg, seed=0)
+
     def test_deterministic(self):
         table = independent_table(600, seed=15, with_labels=True)
         r1 = audit(table, fast_cfg(), seed=4, positive_class=0)

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist, pdist
 
-from kernelkl import InvalidInputError
+from kernelkl import GaussianPairSpec, InvalidInputError, sample_gaussian_pairs
+from kernelkl.estimator import _BANDWIDTH_TAG, _FEATURES_TAG, DEFAULT_BANDWIDTH_SCALE, derive_seed, joint_and_product
 from kernelkl.kernels import (
     CHOLESKY_TOL,
+    DEFAULT_FEATURE_DIM,
     DISTANCE_BLOCK_ROWS,
     LANDMARK_POOL,
     MAP_BLOCK_ROWS,
@@ -388,12 +390,24 @@ class TestFeatureRows:
         for key in (draws, draws[:1], draws[:2], draws[:64], slice(100, 612), slice(None)):
             assert rows[key].tobytes() == stored[key].tobytes()
 
-    @pytest.mark.parametrize("dim", [1, 2])
+    @staticmethod
+    def mi_landmarks():
+        # the landmarks of estimate_mi at D = 1 + 1: rank 183, not a multiple
+        # of the BLAS vector width, where a one-row product has other bits
+        pairs = sample_gaussian_pairs(GaussianPairSpec(dimension=1, correlation=0.8, sample_count=3000, seed=1))
+        X, Y = joint_and_product(pairs, [0], [1], seed=1)
+        spec = KernelSpec(DEFAULT_BANDWIDTH_SCALE * median_heuristic_bandwidth(X, Y, seed=derive_seed(1, _BANDWIDTH_TAG)))
+        return sample_landmarks(X, Y, spec, DEFAULT_FEATURE_DIM, seed=derive_seed(1, _FEATURES_TAG))
+
+    @pytest.mark.parametrize("dim", [1, 2, "1+1"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_rows_equal_stored_rows_at_block_edges(self, dim, dtype):
-        # the stored matrix ends in a one-row block; a minibatch of a block and
+        # the stored matrix ends in a one-row tail; a minibatch of a block and
         # a row does the same; one and two rows make the smallest blocks
-        _, _, _, lm = TestLandmarks.landmarks(dim, max_rank=128)
+        if dim == "1+1":
+            lm, dim = self.mi_landmarks(), 2
+        else:
+            _, _, _, lm = TestLandmarks.landmarks(dim, max_rank=128)
         Y = np.random.default_rng(dim).normal(size=(5 * MAP_BLOCK_ROWS + 1, dim)).astype(dtype)
         stored = kernel_rows(lm, Y)
         rows = KernelRows(lm, Y)

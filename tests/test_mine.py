@@ -4,47 +4,48 @@ import numpy as np
 import pytest
 
 from kernelkl import InvalidInputError, NumericalFailureError, OptimizerConfig, mine, mine_estimate
-from kernelkl.mine import (
-    MINE_OPTIMIZER,
-    dv_objective_and_gradient,
-    init_params,
-    pack_params,
-    unpack_params,
-)
+from kernelkl.mine import MINE_OPTIMIZER, _layers, dv_objective_and_gradient, init_params
 from kernelkl.optimize import dv_value_and_weights
 from reference import mine_forward
 
 
 class TestParams:
     def test_init_deterministic(self):
-        p1 = init_params(2, 8, seed=3)
-        p2 = init_params(2, 8, seed=3)
-        assert np.array_equal(p1.W, p2.W)
-        assert np.array_equal(p1.b, p2.b)
-        assert np.array_equal(p1.v, p2.v)
-        assert p1.c == p2.c
+        assert np.array_equal(init_params(2, 8, seed=3), init_params(2, 8, seed=3))
 
     def test_init_bounds(self):
-        p = init_params(4, 16, seed=0)
-        assert np.all(np.abs(p.W) <= 0.5)  # 1/sqrt(4)
-        assert np.all(np.abs(p.b) <= 0.5)
-        assert np.all(np.abs(p.v) <= 0.25)  # 1/sqrt(16)
-        assert abs(p.c) <= 0.25
+        W, b, v, c = _layers(init_params(4, 16, seed=0), 4)
+        assert W.shape == (16, 4) and b.shape == v.shape == (16,)
+        assert np.all(np.abs(W) <= 0.5)  # 1/sqrt(4)
+        assert np.all(np.abs(b) <= 0.5)
+        assert np.all(np.abs(v) <= 0.25)  # 1/sqrt(16)
+        assert abs(c) <= 0.25
 
-    def test_pack_unpack_roundtrip(self):
-        p = init_params(3, 5, seed=1)
-        q = unpack_params(pack_params(p), 3, 5)
-        np.testing.assert_array_equal(p.W, q.W)
-        np.testing.assert_array_equal(p.b, q.b)
-        np.testing.assert_array_equal(p.v, q.v)
-        assert p.c == q.c
+    def test_init_is_the_four_layer_draws_in_order(self):
+        # W, b, v and c drawn one after another from the seeded stream
+        rng = np.random.default_rng(7)
+        W = rng.uniform(-1 / np.sqrt(3), 1 / np.sqrt(3), size=(5, 3))
+        b = rng.uniform(-1 / np.sqrt(3), 1 / np.sqrt(3), size=5)
+        v = rng.uniform(-1 / np.sqrt(5), 1 / np.sqrt(5), size=5)
+        c = rng.uniform(-1 / np.sqrt(5), 1 / np.sqrt(5))
+        expected = np.concatenate([W.ravel(), b, v, [c]])
+        assert init_params(3, 5, seed=7).tobytes() == expected.tobytes()
+
+    def test_layers_are_views_in_vector_order(self):
+        vec = np.arange(3 * 5 + 5 + 5 + 1, dtype=float)
+        W, b, v, c = _layers(vec, 3)
+        np.testing.assert_array_equal(W, vec[:15].reshape(5, 3))
+        np.testing.assert_array_equal(b, vec[15:20])
+        np.testing.assert_array_equal(v, vec[20:25])
+        assert c == vec[-1]
+        assert all(np.shares_memory(layer, vec) for layer in (W, b, v))
 
 
 class TestForward:
     def test_manual_oracle(self):
         # hand-computed: t(z) = v . tanh(W z + b) + c with
         # W = [[1, -1]], b = [0.5], v = [2.0], c = 0.3
-        p = unpack_params(np.array([1.0, -1.0, 0.5, 2.0, 0.3]), 2, 1)
+        p = np.array([1.0, -1.0, 0.5, 2.0, 0.3])
         z = np.array([1.0, 2.0])
         expected = 2.0 * np.tanh(1.0 * 1.0 + (-1.0) * 2.0 + 0.5) + 0.3
         assert mine_forward(p, z) == pytest.approx(expected, abs=1e-12)
@@ -58,9 +59,12 @@ class TestForward:
         np.testing.assert_allclose(batch, rows, atol=1e-12)
 
     def test_dimension_mismatch(self):
+        # 4 (3 + 2) + 1 = 21 parameters: a network on 3 inputs (or, with 5
+        # hidden units, on 2), but on no other input dimension
         p = init_params(3, 4, seed=0)
-        with pytest.raises(InvalidInputError):
-            mine_forward(p, np.zeros(2))
+        for dim in (1, 4, 5):
+            with pytest.raises(InvalidInputError):
+                mine_forward(p, np.zeros(dim))
 
 
 class TestObjectiveAndGradient:
@@ -79,14 +83,13 @@ class TestObjectiveAndGradient:
         Xb = rng.normal(size=(6, 2))
         Yb = rng.normal(loc=0.5, size=(7, 2))
         _, grad = dv_objective_and_gradient(p, Xb, Yb)
-        vec = pack_params(p)
         h = 1e-6
-        fd = np.empty_like(vec)
-        for i in range(vec.size):
-            e = np.zeros_like(vec)
+        fd = np.empty_like(p)
+        for i in range(p.size):
+            e = np.zeros_like(p)
             e[i] = h
-            vp, _ = dv_objective_and_gradient(unpack_params(vec + e, 2, 4), Xb, Yb)
-            vm, _ = dv_objective_and_gradient(unpack_params(vec - e, 2, 4), Xb, Yb)
+            vp, _ = dv_objective_and_gradient(p + e, Xb, Yb)
+            vm, _ = dv_objective_and_gradient(p - e, Xb, Yb)
             fd[i] = (vp - vm) / (2 * h)
         np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-7)
 
@@ -94,9 +97,9 @@ class TestObjectiveAndGradient:
         calls = []
         hidden = mine._hidden
 
-        def counted(params, Z):
+        def counted(vec, Z):
             calls.append(Z)
-            return hidden(params, Z)
+            return hidden(vec, Z)
 
         monkeypatch.setattr(mine, "_hidden", counted)
         rng = np.random.default_rng(13)
@@ -108,8 +111,9 @@ class TestObjectiveAndGradient:
     def test_one_pass_gradient_is_the_per_side_difference(self):
         # grad = grad sum_i t(x_i) / n - grad sum_j w_j t(y_j), each side built on its own
         def side_gradient(p, Z, u):
-            A = np.tanh(Z @ p.W.T + p.b)
-            S = (u[:, None] * (1.0 - A**2)) * p.v
+            W, b, v, _ = _layers(p, Z.shape[1])
+            A = np.tanh(Z @ W.T + b)
+            S = (u[:, None] * (1.0 - A**2)) * v
             return np.concatenate([(S.T @ Z).ravel(), S.sum(axis=0), A.T @ u, [u.sum()]])
 
         rng = np.random.default_rng(15)
