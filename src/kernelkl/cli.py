@@ -38,10 +38,15 @@ def _add_estimator_flags(parser):
     parser.add_argument("--bandwidth", default="median", help="kernel length scale, or 'median'")
     # unset optimizer flags stay None, so each estimator keeps its own defaults
     parser.add_argument("--budget", type=float, help="norm budget M")
-    parser.add_argument("--step", type=float, help="SGD step size")
-    parser.add_argument("--max-iter", type=int)
-    parser.add_argument("--gamma", type=float, help="convergence tolerance")
-    parser.add_argument("--batch", type=int, help="minibatch size")
+    parser.add_argument("--step", type=float, help="SGD step size (SGD only)")
+    parser.add_argument("--max-iter", type=int, help="most SGD steps or Newton iterations")
+    parser.add_argument(
+        "--gamma",
+        type=float,
+        help="convergence tolerance: on a Newton solve, the Frank-Wolfe gap in nats; under SGD, the "
+        "largest change of the 10-step moving average",
+    )
+    parser.add_argument("--batch", type=int, help="minibatch size (SGD only)")
     parser.add_argument("--seed", type=int, default=opt.seed)
 
 
@@ -95,6 +100,10 @@ def _write_output(payload, out, mode=None):
 def _emit_estimate(result, args, label):
     unit = "bits" if args.bits else "nats"
     value = result.kl_estimate / LN2 if args.bits else result.kl_estimate
+    # the Frank-Wolfe gap of a Newton solve, in the output's unit; SGD certifies none
+    gap = result.trace.gap
+    if gap is not None and args.bits:
+        gap /= LN2
     if args.format == "json":
         config = asdict(result.config)
         config.update(config.pop("optimizer"))
@@ -105,6 +114,7 @@ def _emit_estimate(result, args, label):
             "unit": unit,
             "converged": bool(result.converged),
             "iterations": int(result.iterations),
+            "gap": gap,
             "degenerate": bool(result.degenerate),
             "sample_sizes": list(result.sample_sizes),
             "bandwidth": result.bandwidth,
@@ -115,6 +125,7 @@ def _emit_estimate(result, args, label):
         lines = [
             f"{label}: {value:.9g} {unit}",
             f"converged: {result.converged}  iterations: {result.iterations}",
+            "gap: not certified (SGD)" if gap is None else f"gap: {gap:.3g} {unit}",
             f"samples: n={result.sample_sizes[0]} m={result.sample_sizes[1]}  bandwidth: {result.bandwidth:.6g}",
         ]
         _write_output("\n".join(lines) + "\n", args.out)

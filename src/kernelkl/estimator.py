@@ -1,16 +1,20 @@
 """User-facing divergence and mutual-information estimation.
 
 KL divergence between two sample sets is estimated by maximizing the
-Donsker-Varadhan bound over an RKHS norm ball, on exact-kernel features.  Both
-modes factor a pool of the pooled samples the same way, by pivoted Cholesky
-on kernel columns made on demand, and run the same optimizer.  Primal mode
-(the default, linear in the pooled sample count) factors a seeded subsample
-and extends the factor to every row as landmark (Nystrom) features; dual
-mode factors every pooled row and uses the rows of the factor, in float64,
-so it also serves bandwidths too small for float32 kernel rows.  Mutual
-information is the KL divergence between the joint sample and a
-product-of-marginals surrogate obtained by permuting the y-block within the
-same rows.
+Donsker-Varadhan bound over an RKHS norm ball, on exact-kernel features.
+Both modes factor a pool of the pooled samples the same way, by pivoted
+Cholesky on kernel columns made on demand.  Primal mode (the default, linear
+in the pooled sample count) factors a seeded subsample and extends the factor
+to every row as landmark (Nystrom) features; dual mode factors every pooled
+row and uses the rows of the factor, in float64, so it also serves bandwidths
+too small for float32 kernel rows.  Primal mode solves stored Q rows by
+Newton's method to a certified Frank-Wolfe gap (``optimize.run_newton``)
+where a Newton iteration costs less than the SGD run (``_newton_pays``);
+streamed rows, dual mode and larger problems run projected minibatch SGD
+(``optimize.run_primal``).  Dual mode keeps SGD at small n on purpose: there
+its early stop acts as the regulariser.  Mutual information is the KL
+divergence between the joint sample and a product-of-marginals surrogate
+obtained by permuting the y-block within the same rows.
 """
 
 from dataclasses import dataclass, field, replace
@@ -30,7 +34,7 @@ from .kernels import (
     median_heuristic_bandwidth,
     sample_landmarks,
 )
-from .optimize import OptimizationTrace, OptimizerConfig, run_primal
+from .optimize import OptimizationTrace, OptimizerConfig, run_newton, run_primal
 
 _BANDWIDTH_TAG = 1
 _FEATURES_TAG = 2
@@ -99,6 +103,22 @@ class EstimateResult:
         return self.trace.iterations
 
 
+def _newton_pays(m, rank, opt_cfg):
+    """Whether ``run_newton`` on m stored Q rows of this rank should cost less than ``run_primal``'s SGD.
+
+    A Newton iteration sums an r x r Hessian over the m rows and solves
+    with it, O((m + r) r^2); the SGD run touches max_iter * minibatch rows,
+    O(max_iter * minibatch * r).  Newton is chosen when one of its
+    iterations is the smaller.  Solves alone, on a 2-core VM at the
+    defaults (max_iter * minibatch = 256k): at r ~ 180, Newton took 27-43
+    against 39-65 ms for SGD at m = 1000-1400, about tied at 4000 rows and
+    was slower from 6000 (75 against 53-70 ms); at r = 512 it was 2-5x
+    slower than SGD on 250-1000 rows, where each iteration factors
+    H + nu I several times on the ball's boundary.
+    """
+    return (m + rank) * rank <= opt_cfg.max_iter * opt_cfg.minibatch
+
+
 def _validate_samples(X, Y):
     X, Y = as_sample_pair(X, Y)
     if X.shape[0] < 2 or Y.shape[0] < 2:
@@ -110,11 +130,12 @@ def estimate_kl(X, Y, cfg=None):
     """Estimate KL(P || Q) in nats from samples X ~ P and Y ~ Q."""
     cfg = cfg or EstimatorConfig()
     X, Y = _validate_samples(X, Y)
-    # all points identical in both sets: divergence 0 by construction, after no iterations
+    # all points identical in both sets: divergence 0 by construction, after
+    # no iterations; the witness T = 0 is optimal, with a gap of 0
     degenerate = bool(np.all(X == X[0]) and np.all(Y == X[0]))
     if degenerate:
         bandwidth = 1.0
-        trace = OptimizationTrace(kl_values=np.zeros(0), converged=True, iterations=0, estimate=0.0)
+        trace = OptimizationTrace(kl_values=np.zeros(0), converged=True, iterations=0, estimate=0.0, gap=0.0)
     else:
         bandwidth, trace = _fit(X, Y, cfg)
     return EstimateResult(
@@ -139,6 +160,7 @@ def _fit(X, Y, cfg):
     spec = KernelSpec(bandwidth=bandwidth)
     opt_cfg = cfg.optimizer.with_seed(derive_seed(seed, _OPTIMIZER_TAG))
 
+    solver = run_primal
     if cfg.mode == "dual":
         # K = L L' on the pooled samples, so the RKHS ball there is exactly
         # {L gamma : ||gamma|| <= M}: the rows of L are exact-kernel features
@@ -148,15 +170,18 @@ def _fit(X, Y, cfg):
     else:
         # The bound is linear in beta on P, so P enters only through its mean
         # embedding.  Q is stored when a full batch touches every row each
-        # step or the matrix is small; otherwise each minibatch is made when drawn.
+        # step or the matrix is small, and solved by Newton where that costs
+        # less than SGD; otherwise each minibatch is made when drawn.
         landmarks = sample_landmarks(X, Y, spec, cfg.feature_dim, seed=derive_seed(seed, _FEATURES_TAG))
         mean_phi_x, whitener = mean_landmark_features(landmarks, X), landmarks.whitener
         m = Y.shape[0]
         if opt_cfg.minibatch >= m or m * landmarks.rank * np.dtype(np.float32).itemsize <= MAX_STORED_KERNEL_BYTES:
             PhiY = kernel_rows(landmarks, Y, out=mapped_empty((m, landmarks.rank), np.float32))
+            if _newton_pays(m, landmarks.rank, opt_cfg):
+                solver = run_newton
         else:
             PhiY = KernelRows(landmarks, Y)
-    _, trace = run_primal(mean_phi_x, PhiY, opt_cfg, whitener)
+    _, trace = solver(mean_phi_x, PhiY, opt_cfg, whitener)
     return bandwidth, trace
 
 

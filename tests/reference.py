@@ -3,8 +3,8 @@
 The Gram matrix over the pooled samples and its parameterization
 T(z) = alpha . K[z, :]; the Donsker-Varadhan loss
 g = log mean_j exp(T(y_j)) - mean_i T(x_i), whose negative is the estimate,
-and its gradient on every row; a MINE forward pass; and the JSON schema of a
-benchmark report.  Nothing in ``kernelkl`` calls them.
+its gradient on every row, and its penalized minimizer over the norm ball; a
+MINE forward pass; and the JSON schema of a benchmark report.  Nothing in ``kernelkl`` calls them.
 """
 
 from dataclasses import dataclass
@@ -113,6 +113,28 @@ def primal_gradient(beta, PhiX, PhiY, penalty_weight=0.0):
     if penalty_weight:
         grad = grad + 2.0 * penalty_weight * beta
     return grad
+
+
+def penalized_optimum(mean_phi_x, PhiY, penalty_weight, norm_budget, tol=1e-10, max_iter=10**6):
+    """The minimizer over ||beta|| <= norm_budget of g(beta) + penalty_weight ||beta||^2, with g on rows PhiY.
+
+    Projected gradient descent in float64 at step 1 / L, where L = max_j
+    ||phi_j||^2 + 2 penalty_weight bounds the Hessian, until the Frank-Wolfe
+    gap <grad, beta> + M ||grad|| is at most tol.  Returns (beta, gap); the
+    penalized objective at beta is within gap of the minimum.
+    """
+    PhiX = np.asarray(mean_phi_x, dtype=float)[None]
+    PhiY = np.asarray(PhiY, dtype=float)
+    step = 1.0 / (float(np.max(np.sum(PhiY * PhiY, axis=1))) + 2.0 * penalty_weight)
+    beta = np.zeros(PhiY.shape[1])
+    for _ in range(max_iter):
+        grad = primal_gradient(beta, PhiX, PhiY, penalty_weight=penalty_weight)
+        gap = float(grad @ beta) + norm_budget * float(np.linalg.norm(grad))
+        if gap <= tol:
+            return beta, gap
+        beta = beta - step * grad
+        beta *= min(1.0, norm_budget / float(np.linalg.norm(beta)))
+    raise AssertionError(f"no gap below {tol} in {max_iter} steps: {gap}")
 
 
 def dual_objective(alpha, K):

@@ -29,6 +29,29 @@ from kernelkl.optimize import OptimizationTrace
 FAST = ["--max-iter", "200"]
 
 
+#: Runs the CLI with no Q matrix stored, so every primal run streams its rows to SGD.
+STREAMED_CLI = (
+    "import sys; from kernelkl import estimator; estimator.MAX_STORED_KERNEL_BYTES = 0; "
+    "from kernelkl.cli import main; sys.exit(main())"
+)
+
+#: Runs argv[1:] and prints its exit code, stdout and own peak RSS as JSON, imports no numpy.
+PEAK_RSS_LAUNCHER = """
+import json, os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.PIPE)
+with proc.stdout:
+    out = proc.stdout.read()
+_, status, usage = os.wait4(proc.pid, 0)
+json.dump({"code": os.waitstatus_to_exitcode(status), "out": out.decode(), "maxrss_kib": usage.ru_maxrss}, sys.stdout)
+"""
+
+
+def src_env():
+    """The environment with this checkout's package first on PYTHONPATH, for a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kernelkl.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(s for s in (src, os.environ.get("PYTHONPATH")) if s))
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -197,6 +220,36 @@ class TestEstimateKl:
         # KL(N(0,1) || N(1,1)) = 0.5
         assert payload["value"] == pytest.approx(0.5, abs=0.15)
 
+    @pytest.fixture()
+    def small_files(self, tmp_path):
+        # 300 rows: a stored Q small enough for Newton at the defaults
+        rng = np.random.default_rng(3)
+        p, q = tmp_path / "p.csv", tmp_path / "q.csv"
+        write_csv_dataset(p, ["x"], rng.normal(size=(300, 1)))
+        write_csv_dataset(q, ["x"], rng.normal(loc=1.0, size=(300, 1)))
+        return str(p), str(q)
+
+    def test_gap_key_follows_iterations(self, small_files, capsys):
+        p, q = small_files
+        _, out, _ = run_cli(capsys, "estimate-kl", "--p", p, "--q", q, "--format", "json")
+        payload = json.loads(out)
+        keys = list(payload)
+        assert keys[keys.index("iterations") + 1] == "gap"
+        assert payload["converged"] and 0 <= payload["gap"] <= EstimatorConfig().optimizer.gamma
+        _, out_bits, _ = run_cli(capsys, "estimate-kl", "--p", p, "--q", q, "--format", "json", "--bits")
+        assert json.loads(out_bits)["gap"] == payload["gap"] / np.log(2.0)
+
+    def test_gap_is_null_under_sgd(self, small_files, capsys):
+        p, q = small_files
+        _, out, _ = run_cli(capsys, "estimate-kl", "--p", p, "--q", q, "--format", "json", "--mode", "dual")
+        assert json.loads(out)["gap"] is None
+
+    @pytest.mark.parametrize("mode, line", [("primal", r"gap: \d\.\d+e-\d\d nats"), ("dual", r"gap: not certified \(SGD\)")])
+    def test_text_gap_line(self, small_files, capsys, mode, line):
+        p, q = small_files
+        _, out, _ = run_cli(capsys, "estimate-kl", "--p", p, "--q", q, "--mode", mode)
+        assert re.fullmatch(line, out.splitlines()[2])
+
     def test_bits_conversion(self, gaussian_files, capsys):
         p, q = gaussian_files
         _, out_nats, _ = run_cli(capsys, "estimate-kl", "--p", p, "--q", q,
@@ -260,13 +313,15 @@ class TestEstimateKl:
         p, q = tmp_path / "p.csv", tmp_path / "q.csv"
         write_csv_dataset(p, ["x"], rng.normal(size=(400, 1)))
         write_csv_dataset(q, ["x"], rng.normal(loc=1.0, size=(300, 1)))
-        # a fresh interpreter, so stderr shows any numpy warning as a user sees it
-        src = os.path.dirname(os.path.dirname(os.path.abspath(kernelkl.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(s for s in (src, os.environ.get("PYTHONPATH")) if s))
+        # a fresh interpreter, so stderr shows any numpy warning as a user sees it.
+        # A small stored primal problem may go to Newton, which takes no step,
+        # so the primal case runs SGD on streamed rows: none stored, minibatch below m
+        launch = ["-m", "kernelkl"] if mode == "dual" else ["-c", STREAMED_CLI]
+        extra = ["--batch", "64"] if mode == "primal" else []
         proc = subprocess.run(
-            [sys.executable, "-m", "kernelkl", "estimate-kl", "--p", str(p), "--q", str(q),
-             "--step", "1e308", "--max-iter", "5", "--mode", mode],
-            env=env, capture_output=True, text=True,
+            [sys.executable, *launch, "estimate-kl", "--p", str(p), "--q", str(q),
+             "--step", "1e308", "--max-iter", "5", "--mode", mode, *extra],
+            env=src_env(), capture_output=True, text=True,
         )
         assert proc.returncode == 2
         assert proc.stdout == ""
@@ -333,25 +388,24 @@ class TestEstimateMi:
         assert "finite and positive" in err
 
     def test_100k_rows_peak_rss_without_a_q_feature_matrix(self, tmp_path):
-        # the 100k x ~180 float32 Q kernel rows (72 MB) are made per minibatch;
-        # os.wait4 reads this child's own peak RSS, in KiB on Linux
+        # the 100k x ~180 float32 Q kernel rows (72 MB) are made per minibatch.
+        # A child spawned by vfork starts its peak RSS at its parent's
+        # high-water mark, which here is pytest's; so a small fresh
+        # interpreter spawns the CLI, and os.wait4 there reads the CLI's own
+        # peak, in KiB on Linux
         path = tmp_path / "pairs.csv"
         spec = GaussianPairSpec(dimension=1, correlation=0.9, sample_count=100_000, seed=4)
         write_csv_dataset(path, ["x1", "y1"], sample_gaussian_pairs(spec))
-        src = os.path.dirname(os.path.dirname(os.path.abspath(kernelkl.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(s for s in (src, os.environ.get("PYTHONPATH")) if s))
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "kernelkl", "estimate-mi", "--data", str(path),
-             "--x-cols", "x1", "--y-cols", "y1", "--format", "json"],
-            env=env, stdout=subprocess.PIPE,
+        proc = subprocess.run(
+            [sys.executable, "-c", PEAK_RSS_LAUNCHER, sys.executable, "-m", "kernelkl", "estimate-mi",
+             "--data", str(path), "--x-cols", "x1", "--y-cols", "y1", "--format", "json"],
+            env=src_env(), capture_output=True, text=True,
         )
-        with proc.stdout:
-            out = proc.stdout.read()
-        _, status, usage = os.wait4(proc.pid, 0)
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        assert proc.returncode == 0
-        assert np.isfinite(json.loads(out)["value"])
-        assert usage.ru_maxrss < 150 * 1024
+        assert proc.returncode == 0, proc.stderr
+        child = json.loads(proc.stdout)
+        assert child["code"] == 0
+        assert np.isfinite(json.loads(child["out"])["value"])
+        assert child["maxrss_kib"] < 150 * 1024
 
     @pytest.fixture
     def pairs_5001(self, tmp_path):

@@ -54,6 +54,8 @@ class TestEstimateKl:
         assert result.iterations == 0
         assert len(result.trace.kl_values) == 0
         assert result.trace.estimate == 0.0
+        # the witness T = 0 is optimal
+        assert result.trace.gap == 0.0
 
     def test_mean_shift_oracle(self):
         # KL(N(0,1) || N(1,1)) = 0.5
@@ -192,19 +194,22 @@ class TestEstimateKl:
 
 
 class TestStoredOrStreamedQ:
-    """Q kernel rows are stored when small or full batch, else made per minibatch."""
+    """Q kernel rows are stored when small or full batch, else made per minibatch; small stored rows go to Newton."""
 
     class Captured(Exception):
         pass
 
-    def q_argument(self, monkeypatch, m, feature_dim, minibatch):
-        def spy(mean_phi_x, PhiY, cfg, whitener):
-            raise self.Captured(PhiY, whitener)
+    def q_argument(self, monkeypatch, m, feature_dim, minibatch, max_iter=500):
+        """(solver name, PhiY, whitener) of the solver the estimator calls."""
+        for solver in ("run_primal", "run_newton"):
+            def spy(mean_phi_x, PhiY, cfg, whitener, solver=solver):
+                raise self.Captured(solver, PhiY, whitener)
 
-        monkeypatch.setattr(estimator, "run_primal", spy)
+            monkeypatch.setattr(estimator, solver, spy)
         X, Y = gaussian_sets(m, seed=1)
+        cfg = EstimatorConfig(feature_dim=feature_dim, optimizer=OptimizerConfig(minibatch=minibatch, max_iter=max_iter))
         with pytest.raises(self.Captured) as caught:
-            estimate_kl(X, Y, EstimatorConfig(feature_dim=feature_dim, optimizer=OptimizerConfig(minibatch=minibatch)))
+            estimate_kl(X, Y, cfg)
         return caught.value.args
 
     @pytest.mark.parametrize("m, minibatch, streamed", [(100, 16, False), (101, 16, True), (101, 101, False)])
@@ -212,10 +217,41 @@ class TestStoredOrStreamedQ:
         # 100 rows x 16 float32 kernel rows fill the cap exactly; at D = 1 the
         # landmark factor of ~200 pooled rows reaches the cap of 16
         monkeypatch.setattr(estimator, "MAX_STORED_KERNEL_BYTES", 100 * 16 * 4)
-        PhiY, whitener = self.q_argument(monkeypatch, m, 16, minibatch)
+        _, PhiY, whitener = self.q_argument(monkeypatch, m, 16, minibatch)
         assert isinstance(PhiY, KernelRows) == streamed
         assert PhiY.shape == (m, 16) and PhiY.dtype == np.float32
         assert whitener.shape == (16, 16)
+
+    @pytest.mark.parametrize("m, max_iter, solver", [
+        # (m + r) r = 116 * 16 = 1856 against max_iter * minibatch = 16 max_iter
+        (100, 116, "run_newton"), (100, 115, "run_primal"), (101, 116, "run_primal"), (99, 115, "run_newton"),
+    ])
+    def test_newton_rule(self, monkeypatch, m, max_iter, solver):
+        # Newton where one of its iterations, (m + r) r^2, costs no more than
+        # the SGD run, max_iter * minibatch * r; never on streamed rows
+        chosen, PhiY, _ = self.q_argument(monkeypatch, m, 16, 16, max_iter=max_iter)
+        assert chosen == solver and PhiY.shape == (m, 16) and not isinstance(PhiY, KernelRows)
+        monkeypatch.setattr(estimator, "MAX_STORED_KERNEL_BYTES", 0)
+        chosen, PhiY, _ = self.q_argument(monkeypatch, m, 16, 16, max_iter=max_iter)
+        assert chosen == "run_primal" and isinstance(PhiY, KernelRows)
+
+    def test_dual_mode_keeps_sgd(self, monkeypatch):
+        for solver in ("run_primal", "run_newton"):
+            def spy(mean_phi_x, PhiY, cfg, whitener, solver=solver):
+                raise self.Captured(solver)
+
+            monkeypatch.setattr(estimator, solver, spy)
+        X, Y = gaussian_sets(50, seed=1)
+        with pytest.raises(self.Captured) as caught:
+            estimate_kl(X, Y, EstimatorConfig(mode="dual"))
+        assert caught.value.args == ("run_primal",)
+
+    def test_small_stored_estimate_is_certified(self):
+        X, Y = gaussian_sets(1_000, shift=1.0, seed=2)
+        result = estimate_kl(X, Y)
+        assert result.converged and result.trace.gap <= OptimizerConfig().gamma
+        assert 1 <= result.iterations <= 10 and result.kl_estimate == result.trace.kl_values[-1]
+        assert abs(result.kl_estimate - 0.5) <= 0.1
 
     def test_cap_placement(self):
         # 20k rows at the default rank cap of 512 (D >= 3) are stored; the

@@ -18,6 +18,8 @@ from kernelkl.kernels import (
     MEAN_CHUNK_ROWS,
     KernelRows,
     KernelSpec,
+    _factor_pool,
+    _inverse_transpose,
     kernel_rows,
     mapped_empty,
     mean_landmark_features,
@@ -258,6 +260,22 @@ class TestLandmarks:
         # ... and has norm at most 1, k(z, z), anywhere, also from float32 rows
         for rows in (Z, X, Y):
             assert np.linalg.norm(kernel_rows(lm, rows) @ lm.whitener, axis=1).max() <= 1 + 1e-5
+
+    @pytest.mark.parametrize("dim", [1, 5])
+    def test_whitener_is_the_inverse_transpose_of_the_pivot_block(self, dim):
+        # forward substitution on L_PP: L_PP' W = I, and W agrees with
+        # LAPACK's inverse to rounding relative to its largest entry
+        X, Y, spec, lm = self.landmarks(dim)
+        *_, L, pivots = _factor_pool(pooled_subsample(X, Y, LANDMARK_POOL, 0), spec, 512, np.float32, "")
+        W = lm.whitener
+        assert np.abs(L[pivots].T @ W - np.eye(lm.rank)).max() <= 1e-9
+        assert np.abs(W - np.linalg.inv(L[pivots]).T).max() <= 1e-12 * np.abs(W).max()
+        assert np.array_equal(np.triu(W), W)  # the transpose of a lower-triangular inverse
+
+    def test_inverse_transpose_of_a_small_triangle(self):
+        T = np.array([[2.0, 0.0, 0.0], [1.0, 4.0, 0.0], [-3.0, 0.5, 0.25]])
+        np.testing.assert_allclose(_inverse_transpose(T), np.linalg.inv(T).T, rtol=1e-15, atol=1e-15)
+        assert _inverse_transpose(np.array([[0.5]])).tolist() == [[2.0]]
 
     def test_rank_stops_at_tolerance_or_cap(self):
         # at D = 1 the factor of the pool reaches CHOLESKY_TOL well below the cap;
