@@ -6,7 +6,9 @@ per-class mutual informations; equality of opportunity is the single-class
 case.  Attributes may be categorical (integer-coded) or continuous; tied and
 categorical columns go to ``estimate_mi`` as given, as in the ``estimate-mi``
 command: the pivoted Cholesky factor behind either kernel path skips a repeated
-row, whose residual is zero.  Every metric's ``seed`` defaults to the config's.
+row, whose residual is zero, and the median-heuristic bandwidth is read from
+the few distinct rows weighted by their counts, over the pairs of distinct
+rows where most pairs coincide.  Every metric's ``seed`` defaults to the config's.
 """
 
 from dataclasses import dataclass, field
@@ -56,7 +58,7 @@ class FairnessReport:
 
 
 def _column_mi(pred, attr, cfg, seed):
-    if np.unique(pred).size == 1 or np.unique(attr).size == 1:
+    if np.all(pred == pred[0]) or np.all(attr == attr[0]):
         return 0.0
     pairs = np.column_stack([pred, attr])
     result = estimate_mi(pairs, [0], [1], cfg, seed=seed)

@@ -14,7 +14,10 @@ indexed with, and ``mean_landmark_features`` sums chunks of rows.
 Pairwise distances (the median-heuristic bandwidth) are computed in numpy,
 one coordinate at a time in coordinate order as sum_k (a_k - b_k)^2.  That is
 the order scipy.spatial.distance sums in, so the results are bit-identical to
-scipy's ``pdist``/``cdist``, without the cost of importing scipy.
+scipy's ``pdist``/``cdist``, without the cost of importing scipy.  Where few
+of the subsampled points are distinct, the median is read from the distances
+between distinct points weighted by how many pairs each stands for, which is
+the same multiset of values as all the pairs'.
 """
 
 import math
@@ -114,16 +117,82 @@ def pair_sq_distances(Z):
     """
     n = Z.shape[0]
     out = mapped_empty((n * (n - 1) // 2,), float)
+    # one mask for every block: building it per block (or np.triu_indices)
+    # took 0.4-0.6 ms of a 1000-row call
+    below = np.tri(DISTANCE_BLOCK_ROWS, k=-1, dtype=bool)
     pos = 0
     for start in range(0, n, DISTANCE_BLOCK_ROWS):
         block, later = Z[start : start + DISTANCE_BLOCK_ROWS], Z[start + DISTANCE_BLOCK_ROWS :]
-        inner = sq_distances(block, block)[np.triu_indices(len(block), 1)]
+        inner = sq_distances(block, block)[below[: len(block), : len(block)]]
         out[pos : pos + inner.size] = inner
         pos += inner.size
         cross = out[pos : pos + len(block) * len(later)]
         sq_distances(block, later, out=cross.reshape(len(block), len(later)))
         pos += cross.size
     return out
+
+
+def _distinct_rows(Z):
+    """The distinct rows of Z and how often each occurs.
+
+    Rows are compared by value, so -0.0 and 0.0 are one value; the squares
+    of their differences to any row are the same bits.
+    """
+    Z = Z[np.lexsort(Z.T)]
+    first = np.empty(Z.shape[0], dtype=bool)
+    first[0] = True
+    np.any(Z[1:] != Z[:-1], axis=1, out=first[1:])
+    starts = np.flatnonzero(first)
+    return Z[starts], np.diff(starts, append=Z.shape[0])
+
+
+def _few_distinct_rows(Z):
+    """``_distinct_rows(Z)`` where at most a quarter of the n rows of Z are distinct, else None.
+
+    With so few distinct, sum_i c_i (c_i - 1) / n >= 3 of the n - 1 pairs of
+    consecutive rows coincide on average where Z is in random order (a drawn
+    subsample), so Z is sorted only where some do.  Continuous data skips the
+    sort, whose code alone raised a 100k-row CLI run's peak RSS by 0.15 MB.
+    The route costs time, never bits.
+    """
+    if not np.all(Z[1:] == Z[:-1], axis=1).any():
+        return None
+    rows, counts = _distinct_rows(Z)
+    return (rows, counts) if 4 * rows.shape[0] <= Z.shape[0] else None
+
+
+def _distinct_pairs(rows, counts):
+    """Squared distances of every pair of distinct rows, with the number of sampled pairs c_i c_j each stands for."""
+    below = np.tri(rows.shape[0], k=-1, dtype=bool)
+    return sq_distances(rows, rows)[below], np.multiply.outer(counts, counts)[below]
+
+
+def _median_distance(sq):
+    """np.median(np.sqrt(sq)) bit for bit, partitioning sq in place.
+
+    sqrt is monotone, so the middle distances are the roots of the middle
+    squared distances, and one partition in place finds them (np.median
+    partitions twice for an even size, and np.partition would copy first).
+    """
+    half = sq.size // 2
+    sq.partition(half)
+    middle = [sq[half]] if sq.size % 2 else [sq[:half].max(), sq[half]]
+    return float(np.mean(np.sqrt(middle)))
+
+
+def _weighted_median_distance(sq, weights, zeros):
+    """``_median_distance`` of the multiset holding sq[i] weights[i] times and ``zeros`` zeros.
+
+    The middle ranks are found in the cumulative weights of the sorted
+    values, so the multiset is never expanded.
+    """
+    sq = np.append(sq, 0.0)
+    order = np.argsort(sq)
+    cum = np.cumsum(np.append(weights, zeros)[order])
+    total = int(cum[-1])
+    half = total // 2
+    ranks = [half] if total % 2 else [half - 1, half]
+    return float(np.mean(np.sqrt(sq[order[np.searchsorted(cum, ranks, side="right")]])))
 
 
 def pivoted_cholesky(column, size, max_rank):
@@ -180,20 +249,38 @@ def pooled_subsample(X, Y, size, seed):
 def median_heuristic_bandwidth(X, Y, seed=0):
     """Median pairwise distance over a subsample of <= BANDWIDTH_POINTS pooled points.
 
-    Deterministic given the seed.  Falls back to 1.0 when all sampled points
-    coincide (zero median), so downstream code never divides by zero.
+    Deterministic given the seed.  Where more than half the sampled pairs
+    coincide, so that the median is zero, it is the median over the pairs
+    of distinct points instead; only when every sampled point coincides
+    (or every distance underflows) is it 1.0, so downstream code never
+    divides by zero.
+
+    Where at most a quarter of the n sampled points are distinct, as in
+    categorical data (``_few_distinct_rows``), the median comes from the
+    u(u - 1)/2 distances between distinct points, each weighted by the
+    c_i c_j pairs it stands for (``_weighted_median_distance``): on a 2-core
+    VM a 6-cell table took 0.5 ms against 5.4 ms for all 499 500 pairs.  A
+    pair's squared distance depends only on the two rows' values, so both
+    routes select from the same multiset and return the same bits.  The
+    weighted route sorts, which costs more per pair than a partition: on
+    1000 points with u distinct 1-D normal values it took 2.4 ms against
+    5.4 ms at u = 250, 4.0 against 5.1 ms at u = 333, and 5.7 against
+    5.1 ms at u = 400.
     """
     X, Y = as_sample_pair(X, Y)
-    sq = pair_sq_distances(pooled_subsample(X, Y, BANDWIDTH_POINTS, seed))
-    # np.median(np.sqrt(sq)) bit for bit: sqrt is monotone, so the middle
-    # distances are the roots of the middle squared distances, and one
-    # partition in place finds them (np.median partitions twice for an even
-    # size, and np.partition would copy the distances first).  The two
-    # pooled rows ``as_sample_pair`` guarantees make at least one pair.
-    half = sq.size // 2
-    sq.partition(half)
-    middle = [sq[half]] if sq.size % 2 else [sq[:half].max(), sq[half]]
-    med = float(np.mean(np.sqrt(middle)))
+    Z = pooled_subsample(X, Y, BANDWIDTH_POINTS, seed)
+    # the two pooled rows ``as_sample_pair`` guarantees make at least one pair
+    grouped = _few_distinct_rows(Z)
+    if grouped:
+        rows, counts = grouped
+        med = _weighted_median_distance(*_distinct_pairs(rows, counts), int((counts * (counts - 1) // 2).sum()))
+    else:
+        med = _median_distance(pair_sq_distances(Z))
+    if med == 0.0:
+        # at least half the pairs coincide: drop them
+        rows, counts = grouped or _distinct_rows(Z)
+        if rows.shape[0] > 1:
+            med = _weighted_median_distance(*_distinct_pairs(rows, counts), 0)
     return med if med > 0 else 1.0
 
 

@@ -613,6 +613,21 @@ class TestFairnessCommand:
         assert set(payload["per_class_detail"]) == {"0", "1"}
         assert all(np.isfinite(v) and v >= 0.0 for v in metrics)
 
+    def test_wide_attribute_code_on_mostly_coincident_rows(self, tmp_path, capsys):
+        # more than half the pooled pairs coincide; the bandwidth follows the
+        # 0/1000 codes rather than falling back to a unit scale they outgrow
+        rng = np.random.default_rng(18)
+        n = 5000
+        pred = (rng.random(n) < 0.1).astype(float)
+        attr = np.where(rng.random(n) < 0.1, 1000.0, 0.0)
+        path = tmp_path / "wide.csv"
+        write_csv_dataset(path, ["pred", "attr"], np.column_stack([pred, attr]))
+        code, out, err = run_cli(capsys, "fairness", "--data", str(path), "--pred-col", "pred",
+                                 "--attr-col", "attr", *FAST)
+        assert code == 0, err
+        mi = json.loads(out)["demographic_parity_mi"]
+        assert np.isfinite(mi) and mi >= 0.0
+
     def test_determinism(self, audit_file, capsys):
         args = ["fairness", "--data", audit_file, "--pred-col", "pred",
                 "--attr-col", "attr", "--seed", "8", *FAST]

@@ -251,3 +251,15 @@ class TestImbalancedColumns:
         mi = demographic_parity(AuditTable(predictions=pred, attribute=attr), fast_cfg(), seed=16)
         assert np.isfinite(mi) and mi >= 0.0
         assert mi == pytest.approx(plug_in_mi(pred, attr), abs=0.02)
+
+    def test_parity_on_a_wide_attribute_code(self):
+        # 10% positive predictions and 10% of rows with attribute 1000: more
+        # than half the pooled pairs coincide, and the bandwidth comes from the
+        # pairs of distinct rows, not a unit fallback too small for the codes
+        rng = np.random.default_rng(18)
+        n = 5000
+        pred = (rng.random(n) < 0.1).astype(float)
+        attr = np.where(rng.random(n) < 0.1, 1000.0, 0.0)
+        mi = demographic_parity(AuditTable(predictions=pred, attribute=attr), fast_cfg(), seed=0)
+        assert np.isfinite(mi) and mi >= 0.0
+        assert mi == pytest.approx(plug_in_mi(pred, attr / 1000), abs=0.02)

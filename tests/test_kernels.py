@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist, pdist
 
-from kernelkl import GaussianPairSpec, InvalidInputError, sample_gaussian_pairs
+from kernelkl import GaussianPairSpec, InvalidInputError, kernels, sample_gaussian_pairs
 from kernelkl.estimator import _BANDWIDTH_TAG, _FEATURES_TAG, DEFAULT_BANDWIDTH_SCALE, derive_seed, joint_and_product
 from kernelkl.kernels import (
+    BANDWIDTH_POINTS,
     CHOLESKY_TOL,
     DEFAULT_FEATURE_DIM,
     DISTANCE_BLOCK_ROWS,
@@ -18,6 +19,7 @@ from kernelkl.kernels import (
     MEAN_CHUNK_ROWS,
     KernelRows,
     KernelSpec,
+    _distinct_rows,
     _factor_pool,
     _inverse_transpose,
     kernel_rows,
@@ -434,6 +436,26 @@ class TestFeatureRows:
             assert rows[key].tobytes() == stored[key].tobytes()
 
 
+@pytest.fixture()
+def all_pairs_calls(monkeypatch):
+    """The sizes ``median_heuristic_bandwidth`` asks ``pair_sq_distances`` for: empty on the weighted route."""
+    calls = []
+
+    def spy(Z):
+        calls.append(Z.shape[0])
+        return pair_sq_distances(Z)
+
+    monkeypatch.setattr(kernels, "pair_sq_distances", spy)
+    return calls
+
+
+def distinct_pair_median(Z):
+    """np.median of pdist(Z), or over the pairs of distinct rows where more than half the pairs coincide."""
+    d = pdist(Z)
+    med = float(np.median(d))
+    return med if med > 0 else float(np.median(d[d > 0]))
+
+
 class TestMedianHeuristic:
     def test_deterministic(self):
         rng = np.random.default_rng(0)
@@ -494,6 +516,122 @@ class TestMedianHeuristic:
         # rounding makes ties among the distances
         Z = np.round(np.random.default_rng(pooled).normal(size=(pooled, 2)), 1)
         assert median_heuristic_bandwidth(Z[:1], Z[1:]) == float(np.median(pdist(Z)))
+
+    @pytest.mark.parametrize("pooled", [40, 1000, 5000])
+    def test_binary_by_three_level_table(self, pooled, all_pairs_calls):
+        rng = np.random.default_rng(pooled)
+        Z = np.column_stack([rng.integers(0, 2, pooled), rng.integers(0, 3, pooled)]).astype(float)
+        X, Y = Z[: pooled // 3], Z[pooled // 3 :]
+        Z_sub = pooled_subsample(X, Y, BANDWIDTH_POINTS, seed=3)
+        assert median_heuristic_bandwidth(X, Y, seed=3) == float(np.median(pdist(Z_sub)))
+        assert all_pairs_calls == []
+
+    @pytest.mark.parametrize("cells", [6, 100, 250, 251, 400, 700])
+    def test_lattice_on_either_side_of_the_rule(self, cells, all_pairs_calls):
+        # 1000 points on the first ``cells`` points of a 32-wide lattice; the
+        # weighted route takes at most a quarter of the points distinct
+        rng = np.random.default_rng(cells)
+        lattice = np.stack(np.divmod(np.arange(cells), 32), axis=1).astype(float)
+        Z = lattice[np.concatenate([np.arange(cells), rng.integers(0, cells, BANDWIDTH_POINTS - cells)])]
+        assert median_heuristic_bandwidth(Z[:400], Z[400:]) == float(np.median(pdist(Z)))
+        assert all_pairs_calls == ([] if 4 * cells <= BANDWIDTH_POINTS else [BANDWIDTH_POINTS])
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("decimals", [0, 1, 2])
+    def test_rounded_normals(self, dim, decimals):
+        Z = np.round(np.random.default_rng(dim + 10 * decimals).normal(size=(BANDWIDTH_POINTS, dim)), decimals)
+        assert median_heuristic_bandwidth(Z[:500], Z[500:]) == float(np.median(pdist(Z)))
+
+    def test_signed_zeros_are_one_value(self, all_pairs_calls):
+        rng = np.random.default_rng(9)
+        Z = rng.integers(0, 2, size=(600, 2)).astype(float)
+        Z[(Z == 0) & (rng.random(Z.shape) < 0.5)] = -0.0
+        assert np.signbit(Z[Z == 0]).any() and not np.signbit(Z[Z == 0]).all()
+        rows, counts = _distinct_rows(Z)
+        assert len(rows) == 4 and counts.sum() == 600
+        assert median_heuristic_bandwidth(Z[:300], Z[300:]) == float(np.median(pdist(Z)))
+        assert all_pairs_calls == []
+
+    @pytest.mark.parametrize("grouped", [True, False])
+    @pytest.mark.parametrize("pooled", range(12, 18))
+    def test_odd_and_even_pair_counts(self, pooled, grouped, all_pairs_calls):
+        # 66, 78, 91, 105, 120 and 136 pairs over three distinct points; a
+        # pool below BANDWIDTH_POINTS keeps its order, and where no two
+        # consecutive rows coincide it takes the all-pairs route
+        cells = np.arange(pooled) % 3
+        Z = np.array([0.0, 1.0, 3.0])[np.sort(cells) if grouped else cells, None]
+        assert median_heuristic_bandwidth(Z[:5], Z[5:]) == float(np.median(pdist(Z)))
+        assert all_pairs_calls == ([] if grouped else [pooled])
+
+    def test_continuous_input_is_not_sorted(self, monkeypatch):
+        def refuse(Z):
+            raise AssertionError("continuous rows were sorted")
+
+        monkeypatch.setattr(kernels, "_distinct_rows", refuse)
+        rng = np.random.default_rng(14)
+        X, Y = rng.normal(size=(3000, 2)), rng.normal(size=(3000, 2))
+        assert median_heuristic_bandwidth(X, Y) > 0
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            (6, 3),  # 36 pairs, 18 coincident: the middle two are 0 and 3
+            (7, 4),  # 55 pairs, 27 coincident: the middle one is the first 3
+            (8, 4),  # 66 pairs, 34 coincident: both middle pairs coincide
+            (9, 5),  # 91 pairs, 46 coincident: the middle pair coincides
+        ],
+    )
+    def test_middle_ranks_at_the_edge_of_the_coincident_pairs(self, counts, all_pairs_calls):
+        Z = np.repeat([[0.0], [3.0]], counts, axis=0)
+        expected = {(6, 3): 1.5, (7, 4): 3.0, (8, 4): 3.0, (9, 5): 3.0}[counts]
+        assert median_heuristic_bandwidth(Z[:2], Z[2:]) == distinct_pair_median(Z) == expected
+        assert all_pairs_calls == []
+
+    @pytest.mark.parametrize("distinct", [10, 260])
+    def test_zero_median_reads_the_pairs_of_distinct_points(self, distinct, all_pairs_calls):
+        # more than half the pairs coincide at the origin, on either route
+        Z = np.zeros((BANDWIDTH_POINTS, 2))
+        Z[: distinct - 1] = np.random.default_rng(distinct).normal(size=(distinct - 1, 2))
+        assert np.median(pdist(Z)) == 0.0
+        assert median_heuristic_bandwidth(Z[:500], Z[500:]) == distinct_pair_median(Z)
+        assert all_pairs_calls == ([] if 4 * distinct <= BANDWIDTH_POINTS else [BANDWIDTH_POINTS])
+
+    def test_zero_median_scales_with_the_data(self):
+        # 10% positive predictions and 10% of rows in the minority group: most
+        # pooled pairs coincide, and the bandwidth still follows the data's units
+        rng = np.random.default_rng(12)
+        Z = np.column_stack([rng.random(5000) < 0.1, rng.random(5000) < 0.1]).astype(float)
+        small = median_heuristic_bandwidth(Z[:2500], Z[2500:])
+        assert small == 1.0
+        assert median_heuristic_bandwidth(1000 * Z[:2500], 1000 * Z[2500:]) == 1000 * small
+
+    def test_one_outlier_sets_the_scale(self):
+        Z = np.zeros((BANDWIDTH_POINTS, 1))
+        Z[0] = 5.0
+        assert median_heuristic_bandwidth(Z[:1], Z[1:]) == 5.0
+
+    def test_categorical_input_makes_no_array_of_all_pairs(self, monkeypatch):
+        # the 499 500 pair distances would be memory-mapped, outside
+        # tracemalloc's count, so the maps are watched as well
+        maps = []
+
+        def spy(shape, dtype):
+            maps.append(shape)
+            return mapped_empty(shape, dtype)
+
+        monkeypatch.setattr(kernels, "mapped_empty", spy)
+        rng = np.random.default_rng(13)
+        X = np.column_stack([rng.integers(0, 2, 600_000), rng.integers(0, 3, 600_000)]).astype(float)
+        Y = np.column_stack([rng.integers(0, 2, 400_000), rng.integers(0, 3, 400_000)]).astype(float)
+        tracemalloc.start()
+        try:
+            median_heuristic_bandwidth(X, Y, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert maps == []
+        # half the 4 MB pair array: validating X takes a 1.2 MB mask
+        assert peak < BANDWIDTH_POINTS * (BANDWIDTH_POINTS - 1) // 2 * 8 / 2
 
 
 @settings(max_examples=25, deadline=None)
