@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalFailureError
+from .errors import InvalidInputError, NumericalFailureError, require_count
 from .estimator import MIN_MI_ROWS, EstimatorConfig, estimate_mi, joint_and_product
 from .mine import MINE_OPTIMIZER, mine_estimate
 from .optimize import OptimizerConfig
@@ -38,8 +38,7 @@ class BenchmarkConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.trials < 2:
-            raise InvalidInputError("trials must be >= 2 for the variance to be defined")
+        require_count("trials", self.trials, 2)  # for the variance to be defined
         for est in self.estimators:
             if est not in KNOWN_ESTIMATORS:
                 raise InvalidInputError(f"unknown estimator {est!r}")
@@ -47,10 +46,8 @@ class BenchmarkConfig:
             if not abs(rho) < 1:
                 raise InvalidInputError(f"correlation must lie in (-1, 1), got {rho}")
         for dim in self.dims:
-            if dim < 1:
-                raise InvalidInputError(f"dimension must be >= 1, got {dim}")
-        if self.sample_count < MIN_MI_ROWS:
-            raise InvalidInputError(f"sample_count must be >= {MIN_MI_ROWS} for an MI estimate, got {self.sample_count}")
+            require_count("dimension", dim)
+        require_count("sample_count", self.sample_count, MIN_MI_ROWS)  # for an MI estimate
 
 
 @dataclass(frozen=True)

@@ -97,10 +97,12 @@ def write_csv_dataset(path, header, data):
 
 
 def resolve_columns(header, names, flag):
-    """Map comma-separated column names (or indices) to positions."""
+    """Map comma-separated column names (or indices) to positions; a name the header holds twice is refused."""
     out = []
     for name in names:
         if name in header:
+            if header.count(name) > 1:
+                raise InvalidInputError(f"{flag}: the header names more than one column {name!r}")
             out.append(header.index(name))
             continue
         try:

@@ -7,11 +7,12 @@ Cholesky on kernel columns made on demand.  Primal mode (the default, linear
 in the pooled sample count) factors a seeded subsample and extends the factor
 to every row as landmark (Nystrom) features; dual mode factors every pooled
 row and uses the rows of the factor, in float64, so it also serves bandwidths
-too small for float32 kernel rows.  Primal mode solves stored Q rows by
-Newton's method to a certified Frank-Wolfe gap (``optimize.run_newton``)
-where a Newton iteration costs less than the SGD run (``_newton_pays``);
-streamed rows, dual mode and larger problems run projected minibatch SGD
-(``optimize.run_primal``).  Dual mode keeps SGD at small n on purpose: there
+too small for float32 kernel rows.  Primal mode solves by Newton's method
+to a certified Frank-Wolfe gap (``optimize.run_newton``), on one float64
+matrix of whitened Q rows, where a Newton iteration costs less than the SGD
+run (``_newton_pays``) and that matrix fits the storage cap; dual mode and
+larger problems run projected minibatch SGD (``optimize.run_primal``) on
+stored or streamed rows.  Dual mode keeps SGD at small n on purpose: there
 its early stop acts as the regulariser.  Mutual information is the KL
 divergence between the joint sample and a product-of-marginals surrogate
 obtained by permuting the y-block within the same rows.
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, require_count
 from .kernels import (
     DEFAULT_FEATURE_DIM,
     KernelRows,
@@ -52,6 +53,8 @@ def derive_seed(seed, tag):
 #: (``kernels.KernelRows``) makes every minibatch when drawn and holds one.  On
 #: a 2-core VM, 20k-row MI runs at D = 3 and 5 (41 MB) were slower streamed
 #: than stored (0.43 s); a 100k-row run at D = 1 + 1 (72 MB) streams.
+#: Newton's float64 rows and the Hessian's scaled copy, 16 bytes an entry,
+#: must fit it too.
 MAX_STORED_KERNEL_BYTES = 48 * 2**20
 
 #: Fewest rows a mutual-information estimate takes.
@@ -74,8 +77,7 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.mode not in ("primal", "dual"):
             raise InvalidInputError(f"mode must be 'primal' or 'dual', got {self.mode!r}")
-        if self.feature_dim < 1:
-            raise InvalidInputError("feature_dim must be >= 1")
+        require_count("feature_dim", self.feature_dim)
         if self.bandwidth is not None:
             KernelSpec(self.bandwidth)  # the kernel's own rule for its length scale
 
@@ -109,11 +111,12 @@ def _newton_pays(m, rank, opt_cfg):
     A Newton iteration sums an r x r Hessian over the m rows and solves
     with it, O((m + r) r^2); the SGD run touches max_iter * minibatch rows,
     O(max_iter * minibatch * r).  Newton is chosen when one of its
-    iterations is the smaller.  Solves alone, on a 2-core VM at the
-    defaults (max_iter * minibatch = 256k): at r ~ 180, Newton took 27-43
-    against 39-65 ms for SGD at m = 1000-1400, about tied at 4000 rows and
-    was slower from 6000 (75 against 53-70 ms); at r = 512 it was 2-5x
-    slower than SGD on 250-1000 rows, where each iteration factors
+    iterations is the smaller.  Solves alone, with the whitening product
+    counted to Newton, on a 2-core VM at the defaults (max_iter * minibatch
+    = 256k): at r = 155-168, Newton took 12-19 against 31-51 ms for SGD at
+    m = 1000-1400, 26-33 against 31-46 ms at 4000 rows, and tied at 6000
+    (35-41 against 34-48 ms); at r = 512 it was 2.6-3x slower than SGD on
+    1000 rows and 5-8x on 250-500, where each iteration factors and inverts
     H + nu I several times on the ball's boundary.
     """
     return (m + rank) * rank <= opt_cfg.max_iter * opt_cfg.minibatch
@@ -160,28 +163,33 @@ def _fit(X, Y, cfg):
     spec = KernelSpec(bandwidth=bandwidth)
     opt_cfg = cfg.optimizer.with_seed(derive_seed(seed, _OPTIMIZER_TAG))
 
-    solver = run_primal
+    whitener = None
     if cfg.mode == "dual":
         # K = L L' on the pooled samples, so the RKHS ball there is exactly
         # {L gamma : ||gamma|| <= M}: the rows of L are exact-kernel features
         *_, L, _ = _factor_pool(np.vstack([X, Y]), spec, cfg.feature_dim, np.float64,
                                 "the float64 kernel columns of dual mode; use a larger --bandwidth")
-        mean_phi_x, PhiY, whitener = L[: X.shape[0]].mean(axis=0), L[X.shape[0] :], None
+        mean_phi_x, PhiY = L[: X.shape[0]].mean(axis=0), L[X.shape[0] :]
     else:
         # The bound is linear in beta on P, so P enters only through its mean
-        # embedding.  Q is stored when a full batch touches every row each
-        # step or the matrix is small, and solved by Newton where that costs
-        # less than SGD; otherwise each minibatch is made when drawn.
+        # embedding.  Q goes to Newton where that costs less than SGD and its
+        # float64 whitened rows, with the Hessian's one scaled copy, fit the
+        # cap; to SGD on stored float32 kernel rows where those fit; otherwise
+        # to SGD on rows made per minibatch when drawn.
         landmarks = sample_landmarks(X, Y, spec, cfg.feature_dim, seed=derive_seed(seed, _FEATURES_TAG))
-        mean_phi_x, whitener = mean_landmark_features(landmarks, X), landmarks.whitener
-        m = Y.shape[0]
-        if opt_cfg.minibatch >= m or m * landmarks.rank * np.dtype(np.float32).itemsize <= MAX_STORED_KERNEL_BYTES:
-            PhiY = kernel_rows(landmarks, Y, out=mapped_empty((m, landmarks.rank), np.float32))
-            if _newton_pays(m, landmarks.rank, opt_cfg):
-                solver = run_newton
+        mean_phi_x = mean_landmark_features(landmarks, X)
+        m, r = Y.shape[0], landmarks.rank
+        if _newton_pays(m, r, opt_cfg) and 2 * m * r * np.dtype(np.float64).itemsize <= MAX_STORED_KERNEL_BYTES:
+            # cast before the product, so at most two m x r float64 matrices are held
+            Phi = kernel_rows(landmarks, Y).astype(np.float64) @ landmarks.whitener
+            _, trace = run_newton(mean_phi_x, Phi, opt_cfg)
+            return bandwidth, trace
+        whitener = landmarks.whitener
+        if m * r * np.dtype(np.float32).itemsize <= MAX_STORED_KERNEL_BYTES:
+            PhiY = kernel_rows(landmarks, Y, out=mapped_empty((m, r), np.float32))
         else:
             PhiY = KernelRows(landmarks, Y)
-    _, trace = solver(mean_phi_x, PhiY, opt_cfg, whitener)
+    _, trace = run_primal(mean_phi_x, PhiY, opt_cfg, whitener)
     return bandwidth, trace
 
 
@@ -196,6 +204,9 @@ def split_pairs(pairs, x_cols, y_cols):
         raise InvalidInputError("need at least one x-column and one y-column")
     if set(x_cols) & set(y_cols):
         raise InvalidInputError("x-columns and y-columns overlap")
+    # a repeated column would count twice in the kernel distance
+    if len(set(x_cols)) < len(x_cols) or len(set(y_cols)) < len(y_cols):
+        raise InvalidInputError("a column is repeated within the x-columns or the y-columns")
     ncols = pairs.shape[1]
     for c in x_cols + y_cols:
         if not 0 <= c < ncols:

@@ -28,27 +28,26 @@ consecutive steps; in the full-batch limit this reduces to comparing
 successive exact values.  The returned scalar is the mean over the final
 window rather than the last iterate, which damps minibatch noise.
 
-``run_newton`` solves the same r-dimensional kernel problem exactly where
-the Q rows are stored: the penalized loss is smooth and 2 * penalty_weight
-strongly convex, so Newton's method on the landmark features reaches its
-optimum over the ball in a handful of iterations (Marteau-Ferey, Bach &
-Rudi 2019).  There ``gamma`` is a tolerance in nats on the Frank-Wolfe gap
-(Jaggi 2013), which bounds how far the returned witness's penalized loss is
-from the optimum, and the reported value is the bound at that witness on
-every row.  step_size and minibatch are SGD settings only.
+``run_newton`` solves the same r-dimensional kernel problem exactly on one
+stored float64 matrix of Q feature rows: the penalized loss is smooth and
+2 * penalty_weight strongly convex, so Newton's method on the landmark
+features reaches its optimum over the ball in a handful of iterations
+(Marteau-Ferey, Bach & Rudi 2019).  There ``gamma`` is a tolerance in nats
+on the Frank-Wolfe gap (Jaggi 2013), which bounds how far the returned
+witness's penalized loss is from the optimum, and the reported value is the
+bound at that witness on every row.  step_size and minibatch are SGD
+settings only.
 """
 
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from .errors import InvalidInputError, NumericalFailureError
-from .kernels import KernelRows, _inverse_transpose, mapped_empty
+from .errors import InvalidInputError, NumericalFailureError, require_count
+from .kernels import KernelRows, _inverse_transpose
 
 DEFAULT_NORM_BUDGET = 10.0
 CONVERGENCE_WINDOW = 10
-#: float64 entries ``run_newton`` converts, scores and sums at a time: 256 KB.
-NEWTON_BLOCK_ENTRIES = 2**15
 #: Most halvings of one Newton step in ``run_newton``'s backtracking.
 MAX_HALVINGS = 30
 #: Share of the model's predicted fall that a backtracked Newton step must achieve (Armijo).
@@ -66,9 +65,9 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_count("max_iter", self.max_iter)
+        require_count("minibatch", self.minibatch)
         # chained comparisons are False for NaN, so NaN and inf are rejected too
-        if self.max_iter <= 0 or self.minibatch <= 0:
-            raise InvalidInputError("max_iter and minibatch must be positive")
         if not all(0 < x < np.inf for x in (self.step_size, self.gamma, self.norm_budget)):
             raise InvalidInputError("step_size, gamma, and norm_budget must be finite and positive")
         if not 0 <= self.penalty_weight < np.inf:
@@ -243,19 +242,18 @@ def _ball_newton_point(H, rhs, radius):
     return x * min(1.0, radius / float(np.linalg.norm(x)))
 
 
-def run_newton(mean_phi_x, PhiY, cfg, whitener=None):
+def run_newton(mean_phi_x, Phi, cfg):
     """Minimize the penalized loss over the norm ball by Newton's method; returns (beta, OptimizationTrace).
 
-    The arguments are ``run_primal``'s, but PhiY must be a stored m x r
-    array: with a square whitener W it is overwritten by its whitened rows
-    PhiY @ W, made in float64 a block at a time and stored in PhiY's dtype.
+    Phi is the stored m x r matrix of Q feature rows, used in float64 and
+    never written to; ``mean_phi_x`` is the P-samples' mean feature vector.
     The loss F(beta) = log mean_j exp(phi_j . beta) - mean_phi_x . beta +
     penalty_weight ||beta||^2 is smooth and strongly convex.  Each iteration
     minimizes its second-order model over the ball (``_ball_newton_point``)
     and backtracks along the segment to that point, which stays feasible,
     until F falls by an Armijo fraction of the model's slope.  Scores,
-    gradient and Hessian are summed over blocks of NEWTON_BLOCK_ENTRIES
-    float64 entries, so no m x r temporary is made.
+    gradient and Hessian are one product each; the Hessian's makes one
+    scaled copy of Phi.
 
     The loop stops once the Frank-Wolfe gap <grad F, beta> + M ||grad F||,
     which bounds F(beta) - min F over the ball (Jaggi 2013), is at most
@@ -265,48 +263,18 @@ def run_newton(mean_phi_x, PhiY, cfg, whitener=None):
     returned float64 witness over every row.  cfg.step_size and
     cfg.minibatch are not used.
     """
-    PhiY = np.asarray(PhiY)
-    mean_phi_x = np.asarray(mean_phi_x)
-    _check_features(mean_phi_x, PhiY, whitener)
-    m, r = PhiY.shape
-    rows = max(1, NEWTON_BLOCK_ENTRIES // r)
-    blocks = [slice(start, min(start + rows, m)) for start in range(0, m, rows)]
-    # one float64 block, reused by every pass; mapped, so freeing it leaves the C heap as it was
-    buf = mapped_empty((min(rows, m), r), np.float64)
-    prod = np.empty((r, r))
-
-    def rows64(blk):
-        out = buf[: blk.stop - blk.start]
-        out[...] = PhiY[blk]
-        return out
-
-    if whitener is not None:
-        if whitener.shape != (r, r):
-            raise InvalidInputError("run_newton whitens PhiY in place, so the whitener must be square")
-        whitener = np.asarray(whitener, dtype=np.float64)
-        for blk in blocks:
-            np.matmul(rows64(blk), whitener, out=PhiY[blk])
-    mu = mean_phi_x.astype(np.float64)
+    Phi = np.asarray(Phi, dtype=np.float64)
+    mu = np.asarray(mean_phi_x, dtype=np.float64)
+    _check_features(mu, Phi, None)
+    m, r = Phi.shape
     radius, lam = cfg.norm_budget, cfg.penalty_weight
 
     def bound_and_weights(beta):
-        scores = np.empty(m)
-        for blk in blocks:
-            np.matmul(rows64(blk), beta, out=scores[blk])
-        return dv_value_and_weights(float(mu @ beta), scores)
-
-    def mean_phi_y(w):  # the gradient of the log-mean-exp term
-        total = np.zeros(r)
-        for blk in blocks:
-            total += w[blk] @ rows64(blk)
-        return total
+        return dv_value_and_weights(float(mu @ beta), Phi @ beta)
 
     def hessian(w, mean_y):  # sum_j w_j phi_j phi_j' - mean_y mean_y' + 2 lam I
-        hess = np.zeros((r, r))
-        for blk in blocks:
-            scaled = rows64(blk)
-            scaled *= np.sqrt(w[blk])[:, None]
-            hess += np.matmul(scaled.T, scaled, out=prod)
+        scaled = np.sqrt(w)[:, None] * Phi
+        hess = scaled.T @ scaled
         hess -= np.outer(mean_y, mean_y)
         hess.flat[:: r + 1] += 2.0 * lam
         return hess
@@ -319,7 +287,7 @@ def run_newton(mean_phi_x, PhiY, cfg, whitener=None):
     values = []
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
-            mean_y = mean_phi_y(w)
+            mean_y = w @ Phi  # the gradient of the log-mean-exp term
             grad = mean_y - mu + 2.0 * lam * beta
             gap = float(grad @ beta) + radius * float(np.linalg.norm(grad))
             if gap <= cfg.gamma or len(values) == cfg.max_iter:

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, require_count
 
 
 @dataclass(frozen=True)
@@ -21,8 +21,8 @@ class GaussianPairSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.dimension < 1 or self.sample_count < 1:
-            raise InvalidInputError("dimension and sample_count must be >= 1")
+        require_count("dimension", self.dimension)
+        require_count("sample_count", self.sample_count)
         if not abs(self.correlation) < 1:
             raise InvalidInputError(f"correlation must lie in (-1, 1), got {self.correlation}")
         if self.seed < 0:

@@ -4,7 +4,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import kernelkl
+from kernelkl import (
+    BenchmarkConfig,
+    EstimatorConfig,
+    GaussianPairSpec,
+    InvalidInputError,
+    OptimizerConfig,
+    mine_estimate,
+)
 
 PUBLIC_NAMES = [
     "AuditTable",
@@ -86,3 +97,26 @@ def test_every_public_name_is_exported_or_used_in_the_package():
         and not any(name in names for j, names in enumerate(uses) if j != i)
     ]
     assert unused == []
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: OptimizerConfig(minibatch=64.0), id="minibatch"),
+    pytest.param(lambda: OptimizerConfig(max_iter=1e3), id="max_iter"),
+    pytest.param(lambda: EstimatorConfig(feature_dim=100.0), id="feature_dim"),
+    pytest.param(lambda: BenchmarkConfig(trials=2.5), id="trials"),
+    pytest.param(lambda: BenchmarkConfig(dims=(1, 2.0)), id="dims"),
+    pytest.param(lambda: BenchmarkConfig(sample_count=50.0), id="benchmark-sample_count"),
+    pytest.param(lambda: GaussianPairSpec(1, 0.5, sample_count=50.0), id="sample_count"),
+    pytest.param(lambda: GaussianPairSpec(1.0, 0.5, sample_count=50), id="dimension"),
+    pytest.param(lambda: mine_estimate(np.zeros((5, 1)), np.ones((5, 1)), OptimizerConfig(max_iter=1e2)), id="mine"),
+])
+def test_count_settings_refuse_non_integers(make):
+    with pytest.raises(InvalidInputError, match="must be an integer, got"):
+        make()
+
+
+def test_count_settings_take_numpy_integers():
+    cfg = EstimatorConfig(feature_dim=np.int64(8), optimizer=OptimizerConfig(max_iter=np.int32(5), minibatch=np.uint8(4)))
+    pairs = kernelkl.sample_gaussian_pairs(GaussianPairSpec(np.int64(1), 0.5, np.int64(20)))
+    BenchmarkConfig(dims=(np.int64(1),), sample_count=np.int64(20), trials=np.int64(2))
+    assert kernelkl.estimate_mi(pairs, [0], [1], cfg).iterations <= 5

@@ -173,6 +173,11 @@ class TestDatasets:
         with pytest.raises(InvalidInputError, match="--x-cols"):
             resolve_columns(["x", "y"], ["w"], "--x-cols")
 
+    def test_resolve_name_held_twice(self):
+        with pytest.raises(InvalidInputError, match="--x-cols: the header names more than one column 'x'"):
+            resolve_columns(["x", "x", "y"], ["x"], "--x-cols")
+        assert resolve_columns(["x", "x", "y"], ["1", "y"], "--x-cols") == [1, 2]
+
     def test_resolve_index_out_of_range(self):
         with pytest.raises(InvalidInputError, match="--y-cols: column index 2 out of range"):
             resolve_columns(["x", "y"], ["2"], "--y-cols")
@@ -751,11 +756,18 @@ class TestBadInputExitsOne:
     ] + [
         pytest.param(["generate", "--dim", "1", "--rho", "0.5", "--n", "5", "--seed", "-1", "--out", "{out}"],
                      id="generate-negative-seed"),
+    ] + [
+        # a column named or indexed twice, or a name the header holds twice
+        pytest.param(["estimate-mi", "--data", "{data}", "--x-cols", cols, "--y-cols", "y1"], id=f"x-cols-{cols}")
+        for cols in ("x1,x1", "x1,0")
+    ] + [
+        pytest.param(["estimate-mi", "--data", "{twice}", "--x-cols", "x", "--y-cols", "y"], id="header-name-twice"),
     ])
     def test_error_line_and_exit_one(self, tmp_path, capsys, argv):
-        data = tmp_path / "pairs.csv"
+        data, twice = tmp_path / "pairs.csv", tmp_path / "twice.csv"
         assert main(["generate", "--dim", "1", "--rho", "0.5", "--n", "50", "--out", str(data)]) == 0
-        paths = {"data": data, "missing": tmp_path / "missing" / "out", "out": tmp_path / "out.csv"}
+        twice.write_text("x,x,y\n" + "".join(f"{i},{-i},{i % 7}\n" for i in range(50)))
+        paths = {"data": data, "twice": twice, "missing": tmp_path / "missing" / "out", "out": tmp_path / "out.csv"}
         code, out, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -200,9 +200,9 @@ class TestStoredOrStreamedQ:
         pass
 
     def q_argument(self, monkeypatch, m, feature_dim, minibatch, max_iter=500):
-        """(solver name, PhiY, whitener) of the solver the estimator calls."""
+        """(solver name, PhiY, whitener) of the solver the estimator calls; Newton takes no whitener."""
         for solver in ("run_primal", "run_newton"):
-            def spy(mean_phi_x, PhiY, cfg, whitener, solver=solver):
+            def spy(mean_phi_x, PhiY, cfg, whitener=None, solver=solver):
                 raise self.Captured(solver, PhiY, whitener)
 
             monkeypatch.setattr(estimator, solver, spy)
@@ -212,10 +212,11 @@ class TestStoredOrStreamedQ:
             estimate_kl(X, Y, cfg)
         return caught.value.args
 
-    @pytest.mark.parametrize("m, minibatch, streamed", [(100, 16, False), (101, 16, True), (101, 101, False)])
+    @pytest.mark.parametrize("m, minibatch, streamed", [(100, 16, False), (101, 16, True), (101, 101, True)])
     def test_rule(self, monkeypatch, m, minibatch, streamed):
         # 100 rows x 16 float32 kernel rows fill the cap exactly; at D = 1 the
-        # landmark factor of ~200 pooled rows reaches the cap of 16
+        # landmark factor of ~200 pooled rows reaches the cap of 16.  A full
+        # batch streams too: run_primal makes its rows once
         monkeypatch.setattr(estimator, "MAX_STORED_KERNEL_BYTES", 100 * 16 * 4)
         _, PhiY, whitener = self.q_argument(monkeypatch, m, 16, minibatch)
         assert isinstance(PhiY, KernelRows) == streamed
@@ -229,11 +230,24 @@ class TestStoredOrStreamedQ:
     def test_newton_rule(self, monkeypatch, m, max_iter, solver):
         # Newton where one of its iterations, (m + r) r^2, costs no more than
         # the SGD run, max_iter * minibatch * r; never on streamed rows
-        chosen, PhiY, _ = self.q_argument(monkeypatch, m, 16, 16, max_iter=max_iter)
+        chosen, PhiY, whitener = self.q_argument(monkeypatch, m, 16, 16, max_iter=max_iter)
         assert chosen == solver and PhiY.shape == (m, 16) and not isinstance(PhiY, KernelRows)
+        # Newton gets the whitened rows in float64, SGD the float32 kernel rows and W
+        assert (PhiY.dtype, whitener is None) == ((np.float64, True) if solver == "run_newton" else (np.float32, False))
         monkeypatch.setattr(estimator, "MAX_STORED_KERNEL_BYTES", 0)
         chosen, PhiY, _ = self.q_argument(monkeypatch, m, 16, 16, max_iter=max_iter)
         assert chosen == "run_primal" and isinstance(PhiY, KernelRows)
+
+    @pytest.mark.parametrize("m, solver", [(100, "run_newton"), (101, "run_primal")])
+    def test_newton_rows_fit_the_cap(self, monkeypatch, m, solver):
+        # under a raised budget Newton pays on any of these rows, but it holds
+        # its float64 rows and one scaled copy, 16 bytes an entry, only where
+        # they fit the cap; 100 x 16 rows fill it exactly
+        monkeypatch.setattr(estimator, "MAX_STORED_KERNEL_BYTES", 100 * 16 * 16)
+        chosen, PhiY, _ = self.q_argument(monkeypatch, m, 16, 16, max_iter=10**5)
+        assert chosen == solver and not isinstance(PhiY, KernelRows)
+        if solver == "run_newton":
+            assert 2 * PhiY.nbytes <= estimator.MAX_STORED_KERNEL_BYTES
 
     def test_dual_mode_keeps_sgd(self, monkeypatch):
         for solver in ("run_primal", "run_newton"):
@@ -309,6 +323,12 @@ class TestSplitPairs:
     def test_empty_role_rejected(self):
         with pytest.raises(InvalidInputError):
             split_pairs(np.zeros((3, 4)), [], [1])
+
+    @pytest.mark.parametrize("x_cols, y_cols", [([0, 0], [1]), ([0], [2, 3, 2]), ([1, 0, 1], [2])])
+    def test_repeated_column_rejected(self, x_cols, y_cols):
+        # a repeated column would count twice in the kernel distance
+        with pytest.raises(InvalidInputError, match="repeated"):
+            split_pairs(np.zeros((3, 4)), x_cols, y_cols)
 
 
 class TestJointAndProduct:

@@ -8,7 +8,6 @@ from kernelkl.kernels import (
     KernelRows,
     KernelSpec,
     kernel_rows,
-    mapped_empty,
     mean_landmark_features,
     pivoted_cholesky,
     sample_landmarks,
@@ -331,11 +330,17 @@ class TestRunPrimal:
 
 
 def landmark_problem(n=300, m=400, shift=1.0, rank=48, bandwidth=0.5, seed=41):
-    """run_newton's arguments on a D = 1 KL task: the mean of phi over X, the kernel rows of Y, and W."""
+    """The primal features of a D = 1 KL task: the mean of phi over X, the kernel rows of Y, and W."""
     rng = np.random.default_rng(seed)
     X, Y = rng.normal(size=(n, 1)), rng.normal(loc=shift, size=(m, 1))
     lm = sample_landmarks(X, Y, KernelSpec(bandwidth), rank, seed=0)
     return mean_landmark_features(lm, X), kernel_rows(lm, Y), lm.whitener
+
+
+def newton_problem(**kwargs):
+    """run_newton's arguments on ``landmark_problem``: the mean of phi over X and the float64 rows phi(Y)."""
+    mean_phi_x, KY, W = landmark_problem(**kwargs)
+    return mean_phi_x, KY.astype(float) @ W
 
 
 def penalized(beta, mean_phi_x, PhiY, penalty_weight):
@@ -372,20 +377,20 @@ class TestBallNewtonPoint:
 class TestRunNewton:
     @pytest.mark.parametrize("budget, active", [(0.5, True), (2.0, True), (10.0, False)])
     def test_converges_to_the_reference_optimum(self, budget, active):
-        mean_phi_x, KY, W = landmark_problem()
+        mean_phi_x, Phi = newton_problem()
         cfg = OptimizerConfig(norm_budget=budget)
-        beta, trace = run_newton(mean_phi_x, KY, cfg, W)  # KY now holds the whitened rows KY @ W
+        beta, trace = run_newton(mean_phi_x, Phi, cfg)
         assert trace.converged and trace.gap <= cfg.gamma
         assert (np.linalg.norm(beta) >= budget * (1 - 1e-9)) == active and np.linalg.norm(beta) <= budget * (1 + 1e-12)
-        ref, _ = penalized_optimum(mean_phi_x, KY, cfg.penalty_weight, budget)
+        ref, _ = penalized_optimum(mean_phi_x, Phi, cfg.penalty_weight, budget)
         # the reported value is the bound at the witness, on every row
-        assert trace.estimate == pytest.approx(-primal_objective(beta, mean_phi_x[None], KY.astype(float)), abs=1e-12)
-        assert abs(trace.estimate + primal_objective(ref, mean_phi_x[None], KY.astype(float))) <= 1e-6
-        assert penalized(beta, mean_phi_x, KY, cfg.penalty_weight) <= penalized(ref, mean_phi_x, KY, cfg.penalty_weight) + 1e-9
+        assert trace.estimate == pytest.approx(-primal_objective(beta, mean_phi_x[None], Phi), abs=1e-12)
+        assert abs(trace.estimate + primal_objective(ref, mean_phi_x[None], Phi)) <= 1e-6
+        assert penalized(beta, mean_phi_x, Phi, cfg.penalty_weight) <= penalized(ref, mean_phi_x, Phi, cfg.penalty_weight) + 1e-9
 
     def test_trace(self):
-        mean_phi_x, KY, W = landmark_problem()
-        beta, trace = run_newton(mean_phi_x, KY, OptimizerConfig(), W)
+        mean_phi_x, Phi = newton_problem()
+        beta, trace = run_newton(mean_phi_x, Phi, OptimizerConfig())
         assert beta.dtype == np.float64
         assert 1 <= trace.iterations <= 10 and trace.kl_values.shape == (trace.iterations,)
         assert trace.kl_values[-1] == trace.estimate
@@ -396,56 +401,35 @@ class TestRunNewton:
     @pytest.mark.parametrize("budget", [1.0, 10.0])
     def test_never_worse_than_sgd_at_its_witness(self, seed, budget):
         mean_phi_x, KY, W = landmark_problem(m=600, shift=0.5 + 0.5 * seed, seed=seed)
+        Phi = KY.astype(float) @ W
         cfg = OptimizerConfig(norm_budget=budget, seed=seed)
         sgd_beta, _ = run_primal(mean_phi_x, KY, cfg, W)
-        beta, trace = run_newton(mean_phi_x, KY, cfg, W)
-        # both witnesses scored on the same whitened rows, which run_newton left in KY
+        beta, trace = run_newton(mean_phi_x, Phi, cfg)
+        # both witnesses scored on the same whitened rows
         assert trace.converged
-        assert penalized(beta, mean_phi_x, KY, cfg.penalty_weight) <= penalized(sgd_beta, mean_phi_x, KY, cfg.penalty_weight)
+        assert penalized(beta, mean_phi_x, Phi, cfg.penalty_weight) <= penalized(sgd_beta, mean_phi_x, Phi, cfg.penalty_weight)
 
     def test_unreachable_gamma_stops_at_max_iter(self):
-        mean_phi_x, KY, W = landmark_problem()
-        _, trace = run_newton(mean_phi_x, KY, OptimizerConfig(gamma=1e-300, max_iter=2), W)
+        mean_phi_x, Phi = newton_problem()
+        _, trace = run_newton(mean_phi_x, Phi, OptimizerConfig(gamma=1e-300, max_iter=2))
         assert (trace.converged, trace.iterations) == (False, 2)
         assert trace.gap > 1e-300
 
     def test_stops_at_the_rounding_floor(self):
         # no step lowers the loss at float64 rounding once the optimum is reached,
         # so the loop ends well before max_iter without claiming convergence
-        mean_phi_x, KY, W = landmark_problem()
-        _, trace = run_newton(mean_phi_x, KY, OptimizerConfig(gamma=1e-300, max_iter=1000), W)
+        mean_phi_x, Phi = newton_problem()
+        _, trace = run_newton(mean_phi_x, Phi, OptimizerConfig(gamma=1e-300, max_iter=1000))
         assert not trace.converged and trace.iterations < 50 and trace.gap < 1e-9
 
-    def test_whitener_in_place_equals_whitened_rows(self):
-        mean_phi_x, KY, W = landmark_problem()
-        whitened = (KY.astype(float) @ W).astype(np.float32)
-        beta_w, trace_w = run_newton(mean_phi_x, KY, OptimizerConfig(), W)
-        assert KY.tobytes() == whitened.tobytes()
-        beta, trace = run_newton(mean_phi_x, whitened, OptimizerConfig())
-        assert beta_w.tobytes() == beta.tobytes() and trace_w.estimate == trace.estimate
+    def test_leaves_its_arguments_unchanged(self):
+        mean_phi_x, Phi = newton_problem()
+        before = mean_phi_x.tobytes(), Phi.tobytes()
+        run_newton(mean_phi_x, Phi, OptimizerConfig())
+        assert (mean_phi_x.tobytes(), Phi.tobytes()) == before
 
-    def test_holds_no_matrix_of_the_rows(self):
-        # scores, gradient and Hessian are summed a block at a time: numpy's
-        # buffers (tracemalloc sees them; the mapped Q rows it does not) stay
-        # well below one float32 copy of the m x r rows
-        import tracemalloc
-
-        rng = np.random.default_rng(3)
-        m, r = 40_000, 64
-        KY = mapped_empty((m, r), np.float32)
-        KY[:] = rng.random((m, r), dtype=np.float32) / r
-        mean_phi_x = (KY[:1000].mean(axis=0) * 1.1).astype(np.float32)
-        tracemalloc.start()
-        try:
-            _, trace = run_newton(mean_phi_x, KY, OptimizerConfig(), np.eye(r))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert trace.converged
-        assert peak < m * r * 4 / 2
-
-    def test_rows_must_be_an_array_and_the_whitener_square(self):
+    def test_rows_must_match_the_mean(self):
         with pytest.raises(InvalidInputError, match="d-vector"):
-            run_newton(np.zeros(3), np.zeros((5, 4)), OptimizerConfig(), np.eye(3))
-        with pytest.raises(InvalidInputError, match="square"):
-            run_newton(np.zeros(3), np.zeros((5, 4)), OptimizerConfig(), np.zeros((4, 3)))
+            run_newton(np.zeros(3), np.zeros((5, 4)), OptimizerConfig())
+        with pytest.raises(InvalidInputError, match="d-vector"):
+            run_newton(np.zeros(4), np.zeros(4), OptimizerConfig())
