@@ -39,14 +39,14 @@ def _add_estimator_flags(parser):
     # unset optimizer flags stay None, so each estimator keeps its own defaults
     parser.add_argument("--budget", type=float, help="norm budget M")
     parser.add_argument("--step", type=float, help="SGD step size (SGD only)")
-    parser.add_argument("--max-iter", type=int, help="most SGD steps or Newton iterations")
+    parser.add_argument("--max-iter", type=int, help="most SGD steps or Newton iterations; does not choose the solver")
     parser.add_argument(
         "--gamma",
         type=float,
         help="convergence tolerance: on a Newton solve, the Frank-Wolfe gap in nats; under SGD, the "
         "largest change of the 10-step moving average",
     )
-    parser.add_argument("--batch", type=int, help="minibatch size (SGD only)")
+    parser.add_argument("--batch", type=int, help="minibatch size (SGD only; does not choose the solver)")
     parser.add_argument("--seed", type=int, default=opt.seed)
 
 

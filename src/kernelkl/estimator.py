@@ -9,11 +9,11 @@ to every row as landmark (Nystrom) features; dual mode factors every pooled
 row and uses the rows of the factor, in float64, so it also serves bandwidths
 too small for float32 kernel rows.  Primal mode solves by Newton's method
 to a certified Frank-Wolfe gap (``optimize.run_newton``), on one float64
-matrix of whitened Q rows, where a Newton iteration costs less than the SGD
-run (``_newton_pays``) and that matrix fits the storage cap; dual mode and
-larger problems run projected minibatch SGD (``optimize.run_primal``) on
-stored or streamed rows.  Dual mode keeps SGD at small n on purpose: there
-its early stop acts as the regulariser.  Mutual information is the KL
+matrix of whitened Q rows, where m Q rows at rank r make at most
+``NEWTON_MAX_ENTRIES`` entries (m + r) r; dual mode and larger problems run
+projected minibatch SGD (``optimize.run_primal``) on stored or streamed rows.
+The route reads only m and r, never an SGD setting.  Dual mode keeps SGD at
+small n on purpose: there its early stop acts as the regulariser.  Mutual information is the KL
 divergence between the joint sample and a product-of-marginals surrogate
 obtained by permuting the y-block within the same rows.
 """
@@ -53,9 +53,15 @@ def derive_seed(seed, tag):
 #: (``kernels.KernelRows``) makes every minibatch when drawn and holds one.  On
 #: a 2-core VM, 20k-row MI runs at D = 3 and 5 (41 MB) were slower streamed
 #: than stored (0.43 s); a 100k-row run at D = 1 + 1 (72 MB) streams.
-#: Newton's float64 rows and the Hessian's scaled copy, 16 bytes an entry,
-#: must fit it too.
 MAX_STORED_KERNEL_BYTES = 48 * 2**20
+
+#: Most entries (m + r) r of a primal problem, m Q rows at rank r, that
+#: ``run_newton`` solves: the rows of the default SGD run, 500 steps of 512.
+#: On a 2-core VM at r = 155-168, Newton's solve beat that run up to 4000
+#: rows and tied at 6000; no problem at r = 512, where it lost, is this small.
+#: Its float64 rows and the Hessian's scaled copy, 16 bytes an entry, stay
+#: under 3.9 MiB, inside ``MAX_STORED_KERNEL_BYTES``.
+NEWTON_MAX_ENTRIES = 256_000
 
 #: Fewest rows a mutual-information estimate takes.
 MIN_MI_ROWS = 4
@@ -103,23 +109,6 @@ class EstimateResult:
     @property
     def iterations(self):
         return self.trace.iterations
-
-
-def _newton_pays(m, rank, opt_cfg):
-    """Whether ``run_newton`` on m stored Q rows of this rank should cost less than ``run_primal``'s SGD.
-
-    A Newton iteration sums an r x r Hessian over the m rows and solves
-    with it, O((m + r) r^2); the SGD run touches max_iter * minibatch rows,
-    O(max_iter * minibatch * r).  Newton is chosen when one of its
-    iterations is the smaller.  Solves alone, with the whitening product
-    counted to Newton, on a 2-core VM at the defaults (max_iter * minibatch
-    = 256k): at r = 155-168, Newton took 12-19 against 31-51 ms for SGD at
-    m = 1000-1400, 26-33 against 31-46 ms at 4000 rows, and tied at 6000
-    (35-41 against 34-48 ms); at r = 512 it was 2.6-3x slower than SGD on
-    1000 rows and 5-8x on 250-500, where each iteration factors and inverts
-    H + nu I several times on the ball's boundary.
-    """
-    return (m + rank) * rank <= opt_cfg.max_iter * opt_cfg.minibatch
 
 
 def _validate_samples(X, Y):
@@ -172,14 +161,13 @@ def _fit(X, Y, cfg):
         mean_phi_x, PhiY = L[: X.shape[0]].mean(axis=0), L[X.shape[0] :]
     else:
         # The bound is linear in beta on P, so P enters only through its mean
-        # embedding.  Q goes to Newton where that costs less than SGD and its
-        # float64 whitened rows, with the Hessian's one scaled copy, fit the
-        # cap; to SGD on stored float32 kernel rows where those fit; otherwise
-        # to SGD on rows made per minibatch when drawn.
+        # embedding.  Q goes to Newton where the problem is small; to SGD on
+        # stored float32 kernel rows where those fit the cap; otherwise to SGD
+        # on rows made per minibatch when drawn.
         landmarks = sample_landmarks(X, Y, spec, cfg.feature_dim, seed=derive_seed(seed, _FEATURES_TAG))
         mean_phi_x = mean_landmark_features(landmarks, X)
         m, r = Y.shape[0], landmarks.rank
-        if _newton_pays(m, r, opt_cfg) and 2 * m * r * np.dtype(np.float64).itemsize <= MAX_STORED_KERNEL_BYTES:
+        if (m + r) * r <= NEWTON_MAX_ENTRIES:
             # cast before the product, so at most two m x r float64 matrices are held
             Phi = kernel_rows(landmarks, Y).astype(np.float64) @ landmarks.whitener
             _, trace = run_newton(mean_phi_x, Phi, opt_cfg)

@@ -36,7 +36,8 @@ features reaches its optimum over the ball in a handful of iterations
 on the Frank-Wolfe gap (Jaggi 2013), which bounds how far the returned
 witness's penalized loss is from the optimum, and the reported value is the
 bound at that witness on every row.  step_size and minibatch are SGD
-settings only.
+settings only, and no setting here chooses the solver: the estimator routes
+by the problem's size (``estimator.NEWTON_MAX_ENTRIES``).
 """
 
 import math

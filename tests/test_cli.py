@@ -29,9 +29,11 @@ from kernelkl.optimize import OptimizationTrace
 FAST = ["--max-iter", "200"]
 
 
-#: Runs the CLI with no Q matrix stored, so every primal run streams its rows to SGD.
+#: Runs the CLI with no Q matrix stored and no problem small enough for Newton,
+#: so every primal run streams its rows to SGD.
 STREAMED_CLI = (
     "import sys; from kernelkl import estimator; estimator.MAX_STORED_KERNEL_BYTES = 0; "
+    "estimator.NEWTON_MAX_ENTRIES = 0; "
     "from kernelkl.cli import main; sys.exit(main())"
 )
 
@@ -319,7 +321,7 @@ class TestEstimateKl:
         write_csv_dataset(p, ["x"], rng.normal(size=(400, 1)))
         write_csv_dataset(q, ["x"], rng.normal(loc=1.0, size=(300, 1)))
         # a fresh interpreter, so stderr shows any numpy warning as a user sees it.
-        # A small stored primal problem may go to Newton, which takes no step,
+        # This small primal problem would go to Newton, which takes no step,
         # so the primal case runs SGD on streamed rows: none stored, minibatch below m
         launch = ["-m", "kernelkl"] if mode == "dual" else ["-c", STREAMED_CLI]
         extra = ["--batch", "64"] if mode == "primal" else []
@@ -336,6 +338,18 @@ class TestEstimateKl:
 
 
 class TestEstimateMi:
+    def test_sgd_settings_do_not_choose_the_solver(self, tmp_path, capsys):
+        # 1000 Q rows at D = 1 + 1 go to Newton whatever the SGD flags say, so
+        # each flag prints the default run's value and certificate
+        data = str(tmp_path / "pairs.csv")
+        assert main(["generate", "--dim", "1", "--rho", "0.5", "--n", "1000", "--seed", "3", "--out", data]) == 0
+        base = ["estimate-mi", "--data", data, "--x-cols", "x1", "--y-cols", "y1"]
+        code, default, _ = run_cli(capsys, *base)
+        assert code == 0 and "converged: True" in default and "gap: not certified" not in default
+        assert abs(float(default.split()[1]) - 0.193835768) <= 1e-6
+        for flags in (["--batch", "64"], ["--max-iter", "100"], ["--step", "0.1"]):
+            assert run_cli(capsys, *base, *flags) == (0, default, "")
+
     def test_by_name_and_by_index_agree(self, mi_file, capsys):
         base = ["estimate-mi", "--data", mi_file, "--format", "json", "--seed", "2", *FAST]
         _, by_name, _ = run_cli(capsys, *base, "--x-cols", "x1", "--y-cols", "y1")

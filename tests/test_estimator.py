@@ -194,60 +194,76 @@ class TestEstimateKl:
 
 
 class TestStoredOrStreamedQ:
-    """Q kernel rows are stored when small or full batch, else made per minibatch; small stored rows go to Newton."""
+    """Small primal problems go to Newton; otherwise Q kernel rows are stored when they fit, else made per minibatch."""
 
     class Captured(Exception):
         pass
 
-    def q_argument(self, monkeypatch, m, feature_dim, minibatch, max_iter=500):
+    def capture_solver(self, monkeypatch, X, Y, cfg):
         """(solver name, PhiY, whitener) of the solver the estimator calls; Newton takes no whitener."""
         for solver in ("run_primal", "run_newton"):
             def spy(mean_phi_x, PhiY, cfg, whitener=None, solver=solver):
                 raise self.Captured(solver, PhiY, whitener)
 
             monkeypatch.setattr(estimator, solver, spy)
-        X, Y = gaussian_sets(m, seed=1)
-        cfg = EstimatorConfig(feature_dim=feature_dim, optimizer=OptimizerConfig(minibatch=minibatch, max_iter=max_iter))
         with pytest.raises(self.Captured) as caught:
             estimate_kl(X, Y, cfg)
         return caught.value.args
+
+    def q_argument(self, monkeypatch, m, feature_dim, minibatch, max_iter=500):
+        X, Y = gaussian_sets(m, seed=1)
+        cfg = EstimatorConfig(feature_dim=feature_dim, optimizer=OptimizerConfig(minibatch=minibatch, max_iter=max_iter))
+        return self.capture_solver(monkeypatch, X, Y, cfg)
 
     @pytest.mark.parametrize("m, minibatch, streamed", [(100, 16, False), (101, 16, True), (101, 101, True)])
     def test_rule(self, monkeypatch, m, minibatch, streamed):
         # 100 rows x 16 float32 kernel rows fill the cap exactly; at D = 1 the
         # landmark factor of ~200 pooled rows reaches the cap of 16.  A full
         # batch streams too: run_primal makes its rows once
+        monkeypatch.setattr(estimator, "NEWTON_MAX_ENTRIES", 0)
         monkeypatch.setattr(estimator, "MAX_STORED_KERNEL_BYTES", 100 * 16 * 4)
         _, PhiY, whitener = self.q_argument(monkeypatch, m, 16, minibatch)
         assert isinstance(PhiY, KernelRows) == streamed
         assert PhiY.shape == (m, 16) and PhiY.dtype == np.float32
         assert whitener.shape == (16, 16)
 
-    @pytest.mark.parametrize("m, max_iter, solver", [
-        # (m + r) r = 116 * 16 = 1856 against max_iter * minibatch = 16 max_iter
+    @pytest.mark.parametrize("m, bound, solver", [
+        # (m + r) r = (m + 16) 16 against NEWTON_MAX_ENTRIES = 16 * bound
         (100, 116, "run_newton"), (100, 115, "run_primal"), (101, 116, "run_primal"), (99, 115, "run_newton"),
     ])
-    def test_newton_rule(self, monkeypatch, m, max_iter, solver):
-        # Newton where one of its iterations, (m + r) r^2, costs no more than
-        # the SGD run, max_iter * minibatch * r; never on streamed rows
-        chosen, PhiY, whitener = self.q_argument(monkeypatch, m, 16, 16, max_iter=max_iter)
-        assert chosen == solver and PhiY.shape == (m, 16) and not isinstance(PhiY, KernelRows)
-        # Newton gets the whitened rows in float64, SGD the float32 kernel rows and W
-        assert (PhiY.dtype, whitener is None) == ((np.float64, True) if solver == "run_newton" else (np.float32, False))
+    def test_newton_rule(self, monkeypatch, m, bound, solver):
+        # Newton where (m + r) r is at most NEWTON_MAX_ENTRIES, whatever the
+        # SGD settings and the storage cap; SGD rows obey the cap
+        monkeypatch.setattr(estimator, "NEWTON_MAX_ENTRIES", 16 * bound)
+        for max_iter, minibatch in ((1, 1), (500, 16), (10**6, 10**6)):
+            chosen, PhiY, whitener = self.q_argument(monkeypatch, m, 16, minibatch, max_iter=max_iter)
+            assert chosen == solver and PhiY.shape == (m, 16) and not isinstance(PhiY, KernelRows)
+            # Newton gets the whitened rows in float64, SGD the float32 kernel rows and W
+            assert (PhiY.dtype, whitener is None) == ((np.float64, True) if solver == "run_newton" else (np.float32, False))
         monkeypatch.setattr(estimator, "MAX_STORED_KERNEL_BYTES", 0)
-        chosen, PhiY, _ = self.q_argument(monkeypatch, m, 16, 16, max_iter=max_iter)
-        assert chosen == "run_primal" and isinstance(PhiY, KernelRows)
+        chosen, PhiY, _ = self.q_argument(monkeypatch, m, 16, 16)
+        assert chosen == solver and isinstance(PhiY, KernelRows) == (solver == "run_primal")
 
-    @pytest.mark.parametrize("m, solver", [(100, "run_newton"), (101, "run_primal")])
-    def test_newton_rows_fit_the_cap(self, monkeypatch, m, solver):
-        # under a raised budget Newton pays on any of these rows, but it holds
-        # its float64 rows and one scaled copy, 16 bytes an entry, only where
-        # they fit the cap; 100 x 16 rows fill it exactly
-        monkeypatch.setattr(estimator, "MAX_STORED_KERNEL_BYTES", 100 * 16 * 16)
-        chosen, PhiY, _ = self.q_argument(monkeypatch, m, 16, 16, max_iter=10**5)
-        assert chosen == solver and not isinstance(PhiY, KernelRows)
-        if solver == "run_newton":
-            assert 2 * PhiY.nbytes <= estimator.MAX_STORED_KERNEL_BYTES
+    def test_newton_rows_fit_the_cap(self):
+        # Newton holds its float64 rows and one scaled copy, 16 bytes an entry
+        assert estimator.NEWTON_MAX_ENTRIES * 16 <= estimator.MAX_STORED_KERNEL_BYTES
+
+    @pytest.mark.parametrize("r", [16, 100, 200, 400, 500])
+    def test_default_routes_are_the_budget_rule(self, monkeypatch, r):
+        # at the defaults, Newton takes exactly the problems with (m + r) r
+        # within the default SGD run's max_iter * minibatch rows, the rule
+        # that once read those settings; at D = 3 the rank reaches the cap
+        opt = OptimizerConfig()
+        m_last = opt.max_iter * opt.minibatch // r - r
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(2000, 3))
+        ranks = TestEstimateKl.spy_on_rank(monkeypatch)
+        for m in (m_last, m_last + 1):
+            Y = rng.normal(loc=0.3, size=(m, 3))
+            chosen, _, _ = self.capture_solver(monkeypatch, X, Y, EstimatorConfig(feature_dim=r))
+            assert ranks.pop() == r
+            newton = (m + r) * r <= opt.max_iter * opt.minibatch and 2 * m * r * 8 <= estimator.MAX_STORED_KERNEL_BYTES
+            assert chosen == ("run_newton" if newton else "run_primal") == ("run_newton" if m == m_last else "run_primal")
 
     def test_dual_mode_keeps_sgd(self, monkeypatch):
         for solver in ("run_primal", "run_newton"):
