@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalFailureError, require_count
+from .errors import InvalidInputError, NumericalFailureError, require_count, require_seed
 from .estimator import MIN_MI_ROWS, EstimatorConfig, estimate_mi, joint_and_product
 from .mine import MINE_OPTIMIZER, mine_estimate
 from .optimize import OptimizerConfig
@@ -39,6 +39,11 @@ class BenchmarkConfig:
 
     def __post_init__(self):
         require_count("trials", self.trials, 2)  # for the variance to be defined
+        require_seed("seed", self.seed)
+        # a repeated value would report one cell twice, with different numbers
+        for name, grid in (("estimators", self.estimators), ("dims", self.dims), ("rhos", self.rhos)):
+            if len(set(grid)) < len(grid):
+                raise InvalidInputError(f"{name} repeats a value: {', '.join(map(str, grid))}")
         for est in self.estimators:
             if est not in KNOWN_ESTIMATORS:
                 raise InvalidInputError(f"unknown estimator {est!r}")
@@ -92,7 +97,7 @@ def small_data_benchmark_config(trials=20, seed=0, rhos=(0.2, 0.5, 0.9)):
 
 
 def _trial_seeds(seed, cell_index, trial):
-    ss = np.random.SeedSequence(entropy=(int(seed) & (2**63 - 1), int(cell_index), int(trial)))
+    ss = np.random.SeedSequence(entropy=(int(seed), int(cell_index), int(trial)))
     data_seed, est_seed = ss.generate_state(2)
     return int(data_seed), int(est_seed)
 

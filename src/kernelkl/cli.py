@@ -169,9 +169,11 @@ def cmd_fairness(args):
     header, data = read_csv_dataset(args.data)
     (pred_idx,) = resolve_columns(header, [args.pred_col], "--pred-col")
     (attr_idx,) = resolve_columns(header, [args.attr_col], "--attr-col")
+    roles = [pred_idx, attr_idx]
     labels = None
     if args.label_col is not None:
         (label_idx,) = resolve_columns(header, [args.label_col], "--label-col")
+        roles.append(label_idx)
         labels = data[:, label_idx]
         if np.any(labels != np.round(labels)):
             raise InvalidInputError(f"--label-col: column {header[label_idx]!r} holds non-integer labels")
@@ -180,6 +182,9 @@ def cmd_fairness(args):
         labels = labels.astype(np.int64)
     elif args.positive_class is not None:
         raise InvalidInputError("--positive-class requires --label-col")
+    # one column in two roles would measure it against itself
+    if len(set(roles)) < len(roles):
+        raise InvalidInputError("--pred-col, --attr-col and --label-col must name different columns")
     table = AuditTable(predictions=data[:, pred_idx], attribute=data[:, attr_idx], labels=labels)
     report = audit(table, _estimator_config(args), seed=args.seed, positive_class=args.positive_class)
     scale = 1.0 / LN2 if args.bits else 1.0

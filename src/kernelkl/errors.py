@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the check of a count setting."""
+"""Exception types shared across the package, and the checks of a count setting and a seed."""
 
 import numbers
 
@@ -24,3 +24,9 @@ def require_count(name, value, least=1):
         raise InvalidInputError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise InvalidInputError(f"{name} must be >= {least}, got {value}")
+
+
+def require_seed(name, value):
+    """Refuse a seed that is not an integer (numpy's included) in [0, 2**63)."""
+    if not isinstance(value, numbers.Integral) or not 0 <= value < 2**63:
+        raise InvalidInputError(f"{name} must be an integer in [0, 2**63), got {value!r}")

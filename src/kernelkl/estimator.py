@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InvalidInputError, require_count
+from .errors import InvalidInputError, require_count, require_seed
 from .kernels import (
     DEFAULT_FEATURE_DIM,
     KernelRows,
@@ -44,8 +44,9 @@ _PERMUTE_TAG = 4
 
 
 def derive_seed(seed, tag):
-    """Deterministic sub-seed for one named consumer of the run seed."""
-    return int(np.random.SeedSequence(entropy=(int(seed) & (2**63 - 1), int(tag))).generate_state(1)[0])
+    """Deterministic 32-bit sub-seed for one named consumer of the run seed."""
+    require_seed("seed", seed)
+    return int(np.random.SeedSequence(entropy=(int(seed), int(tag))).generate_state(1)[0])
 
 
 #: Largest Q-side kernel-row matrix ``estimate_kl`` stores: 48 MiB, 24 576
@@ -197,6 +198,9 @@ def split_pairs(pairs, x_cols, y_cols):
         raise InvalidInputError("a column is repeated within the x-columns or the y-columns")
     ncols = pairs.shape[1]
     for c in x_cols + y_cols:
+        # a bool would select by mask and a float would not index at all
+        if isinstance(c, bool) or not isinstance(c, (int, np.integer)):
+            raise InvalidInputError(f"column index {c!r} is not an integer")
         if not 0 <= c < ncols:
             raise InvalidInputError(f"column index {c} out of range for {ncols} columns")
     return pairs[:, x_cols], pairs[:, y_cols]

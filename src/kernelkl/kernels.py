@@ -71,8 +71,8 @@ def _as_2d(samples, name):
     arr = np.asarray(samples, dtype=float)
     if arr.ndim == 1:
         arr = arr[:, None]
-    if arr.ndim != 2 or arr.shape[0] == 0:
-        raise InvalidInputError(f"{name} must be a nonempty n x D sample matrix")
+    if arr.ndim != 2 or 0 in arr.shape:
+        raise InvalidInputError(f"{name} must be a nonempty n x D sample matrix, D >= 1")
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError(f"{name} contains non-finite values")
     return arr

@@ -44,7 +44,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from .errors import InvalidInputError, NumericalFailureError, require_count
+from .errors import InvalidInputError, NumericalFailureError, require_count, require_seed
 from .kernels import KernelRows, _inverse_transpose
 
 DEFAULT_NORM_BUDGET = 10.0
@@ -68,6 +68,7 @@ class OptimizerConfig:
     def __post_init__(self):
         require_count("max_iter", self.max_iter)
         require_count("minibatch", self.minibatch)
+        require_seed("seed", self.seed)
         # chained comparisons are False for NaN, so NaN and inf are rejected too
         if not all(0 < x < np.inf for x in (self.step_size, self.gamma, self.norm_budget)):
             raise InvalidInputError("step_size, gamma, and norm_budget must be finite and positive")

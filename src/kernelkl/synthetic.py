@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, require_count
+from .errors import InvalidInputError, require_count, require_seed
 
 
 @dataclass(frozen=True)
@@ -25,8 +25,7 @@ class GaussianPairSpec:
         require_count("sample_count", self.sample_count)
         if not abs(self.correlation) < 1:
             raise InvalidInputError(f"correlation must lie in (-1, 1), got {self.correlation}")
-        if self.seed < 0:
-            raise InvalidInputError(f"seed must be nonnegative, got {self.seed}")
+        require_seed("seed", self.seed)
 
 
 def sample_gaussian_pairs(spec):

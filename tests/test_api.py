@@ -16,6 +16,7 @@ from kernelkl import (
     OptimizerConfig,
     mine_estimate,
 )
+from kernelkl.estimator import derive_seed
 
 PUBLIC_NAMES = [
     "AuditTable",
@@ -113,6 +114,32 @@ def test_every_public_name_is_exported_or_used_in_the_package():
 def test_count_settings_refuse_non_integers(make):
     with pytest.raises(InvalidInputError, match="must be an integer, got"):
         make()
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: OptimizerConfig(seed=1.5), id="optimizer-float"),
+    pytest.param(lambda: OptimizerConfig(seed=-1), id="optimizer-negative"),
+    pytest.param(lambda: OptimizerConfig(seed=2**63), id="optimizer-2**63"),
+    pytest.param(lambda: EstimatorConfig().with_seed(np.float64(3.0)), id="with_seed"),
+    pytest.param(lambda: BenchmarkConfig(seed=2**63), id="benchmark-2**63"),
+    pytest.param(lambda: BenchmarkConfig(seed=-1), id="benchmark-negative"),
+    pytest.param(lambda: GaussianPairSpec(1, 0.5, 50, seed=-1), id="spec-negative"),
+    pytest.param(lambda: GaussianPairSpec(1, 0.5, 50, seed=2**64), id="spec-2**64"),
+    pytest.param(lambda: GaussianPairSpec(1, 0.5, 50, seed="7"), id="spec-text"),
+    pytest.param(lambda: kernelkl.estimate_mi(np.zeros((8, 2)), [0], [1], seed=-1), id="estimate_mi"),
+    pytest.param(lambda: derive_seed(2**63, 1), id="derive_seed"),
+])
+def test_seeds_refuse_all_but_integers_below_2_to_63(make):
+    # seeds outside [0, 2**63) used to alias: 2**63 ran seed 0, and -1 ran 2**63 - 1
+    with pytest.raises(InvalidInputError, match=r"seed must be an integer in \[0, 2\*\*63\), got"):
+        make()
+
+
+def test_seeds_take_every_integer_below_2_to_63():
+    assert OptimizerConfig(seed=np.uint64(2**63 - 1)).seed == 2**63 - 1
+    BenchmarkConfig(seed=np.int64(0))
+    GaussianPairSpec(1, 0.5, 50, seed=2**63 - 1)
+    assert 0 <= derive_seed(2**63 - 1, 1) < 2**32
 
 
 def test_count_settings_take_numpy_integers():

@@ -57,6 +57,14 @@ class TestConfigValidation:
             tiny_config(sample_count=3)
         tiny_config(sample_count=4)
 
+    @pytest.mark.parametrize("grid", [
+        {"estimators": ("kkle", "mine", "kkle")}, {"dims": (1, 2, 1)}, {"rhos": (0.5, 0.5)}, {"rhos": (0.0, -0.0)},
+    ])
+    def test_repeated_grid_value(self, grid):
+        # a repeated value would report one cell twice, with different numbers
+        with pytest.raises(InvalidInputError, match="repeats a value"):
+            tiny_config(**grid)
+
     @pytest.mark.parametrize("jobs", [0, -2])
     def test_jobs_below_one(self, jobs):
         with pytest.raises(InvalidInputError, match="jobs must be >= 1"):

@@ -771,6 +771,31 @@ class TestBadInputExitsOne:
         pytest.param(["generate", "--dim", "1", "--rho", "0.5", "--n", "5", "--seed", "-1", "--out", "{out}"],
                      id="generate-negative-seed"),
     ] + [
+        # seeds outside [0, 2**63) used to alias: 2**63 ran seed 0, and -1 ran 2**63 - 1
+        pytest.param(["generate", "--dim", "1", "--rho", "0.5", "--n", "5", "--seed", seed, "--out", "{out}"],
+                     id=f"generate-seed-{seed}") for seed in ("9223372036854775808", "18446744073709551616")
+    ] + [
+        pytest.param([*MI_ARGS, *FAST, "--seed", seed], id=f"estimate-mi-seed-{seed}")
+        for seed in ("-1", "9223372036854775808")
+    ] + [
+        pytest.param(["estimate-kl", "--p", "{data}", "--q", "{data}", *FAST, "--seed", "-1"], id="estimate-kl-seed"),
+        pytest.param(["fairness", "--data", "{data}", "--pred-col", "x1", "--attr-col", "y1", *FAST, "--seed", "-1"],
+                     id="fairness-seed"),
+        pytest.param(["benchmark", "--estimators", "mine", "--n", "50", "--trials", "2", "--rhos", "0.5", *FAST,
+                      "--seed", "9223372036854775808"], id="benchmark-seed"),
+    ] + [
+        # a grid value given twice would print two rows for one cell
+        pytest.param(["benchmark", "--estimators", "kkle", "--n", "50", "--trials", "2", "--rhos", "0.5", *FAST, *flags],
+                     id="benchmark" + "".join(flags))
+        for flags in (["--rhos", "0.5,0.5"], ["--estimators", "kkle,kkle"], ["--dims", "1,1"])
+    ] + [
+        # a column in two fairness roles would be measured against itself
+        pytest.param(["fairness", "--data", "{data}", "--pred-col", "x1", "--attr-col", "x1", *FAST], id="fairness-pred-attr"),
+        pytest.param(["fairness", "--data", "{twice}", "--pred-col", "0", "--attr-col", "y", "--label-col", "y", *FAST],
+                     id="fairness-attr-label"),
+        pytest.param(["fairness", "--data", "{twice}", "--pred-col", "y", "--attr-col", "0", "--label-col", "2", *FAST],
+                     id="fairness-pred-label"),
+    ] + [
         # a column named or indexed twice, or a name the header holds twice
         pytest.param(["estimate-mi", "--data", "{data}", "--x-cols", cols, "--y-cols", "y1"], id=f"x-cols-{cols}")
         for cols in ("x1,x1", "x1,0")

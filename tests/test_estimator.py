@@ -13,7 +13,7 @@ from kernelkl import (
     estimate_mi,
     sample_gaussian_pairs,
 )
-from kernelkl import estimator
+from kernelkl import estimator, mine_estimate
 from kernelkl.estimator import _OPTIMIZER_TAG, derive_seed, joint_and_product, split_pairs
 from kernelkl.kernels import DEFAULT_FEATURE_DIM, KernelRows, KernelSpec, sample_landmarks
 from reference import build_gram, run_dual
@@ -155,6 +155,12 @@ class TestEstimateKl:
             estimate_kl(np.zeros((5, 1)), np.zeros((5, 2)))
         with pytest.raises(InvalidInputError):
             estimate_kl(np.array([[np.nan]] * 5), np.zeros((5, 1)))
+
+    @pytest.mark.parametrize("estimate", [estimate_kl, mine_estimate])
+    def test_samples_without_columns_rejected(self, estimate):
+        # an empty row has no distances: it read as a degenerate 0.0, or overflowed MINE
+        with pytest.raises(InvalidInputError, match="D >= 1"):
+            estimate(np.zeros((5, 0)), np.zeros((5, 0)))
 
     def test_non_finite_message_names_the_side(self):
         Y = np.zeros((5, 1))
@@ -339,6 +345,18 @@ class TestSplitPairs:
     def test_empty_role_rejected(self):
         with pytest.raises(InvalidInputError):
             split_pairs(np.zeros((3, 4)), [], [1])
+
+    @pytest.mark.parametrize("x_cols, y_cols", [
+        ([True], [0]), ([0.0], [1]), ([0], [np.float64(1.0)]), ([np.True_], [0]), ([0], ["1"]),
+    ])
+    def test_non_integer_column_rejected(self, x_cols, y_cols):
+        # a bool selects by mask and a float does not index; estimate_mi raised a bare IndexError
+        with pytest.raises(InvalidInputError, match="is not an integer"):
+            estimate_mi(np.zeros((5, 2)), x_cols, y_cols)
+
+    def test_numpy_integer_columns_accepted(self):
+        xs, ys = split_pairs(np.arange(8.0).reshape(2, 4), [np.int64(0)], [np.uint8(3)])
+        assert (xs[:, 0].tolist(), ys[:, 0].tolist()) == ([0.0, 4.0], [3.0, 7.0])
 
     @pytest.mark.parametrize("x_cols, y_cols", [([0, 0], [1]), ([0], [2, 3, 2]), ([1, 0, 1], [2])])
     def test_repeated_column_rejected(self, x_cols, y_cols):
