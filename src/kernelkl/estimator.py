@@ -13,9 +13,10 @@ matrix of whitened Q rows, where m Q rows at rank r make at most
 ``NEWTON_MAX_ENTRIES`` entries (m + r) r; dual mode and larger problems run
 projected minibatch SGD (``optimize.run_primal``) on stored or streamed rows.
 The route reads only m and r, never an SGD setting.  Dual mode keeps SGD at
-small n on purpose: there its early stop acts as the regulariser.  Mutual information is the KL
-divergence between the joint sample and a product-of-marginals surrogate
-obtained by permuting the y-block within the same rows.
+small n on purpose: there its early stop acts as the regulariser.  Mutual
+information is the KL divergence between the joint sample and a
+product-of-marginals surrogate obtained by permuting the y-block within the
+same rows.
 """
 
 from dataclasses import dataclass, field, replace
