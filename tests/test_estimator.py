@@ -250,9 +250,17 @@ class TestStoredOrStreamedQ:
         chosen, PhiY, _ = self.q_argument(monkeypatch, m, 16, 16)
         assert chosen == solver and isinstance(PhiY, KernelRows) == (solver == "run_primal")
 
-    def test_newton_rows_fit_the_cap(self):
-        # Newton holds its float64 rows and one scaled copy, 16 bytes an entry
+    @pytest.mark.parametrize("m, solver", [(100, "run_newton"), (101, "run_primal")])
+    def test_newton_rows_fit_the_cap(self, monkeypatch, m, solver):
+        # Newton holds its float64 rows and one scaled copy, 16 bytes an entry,
+        # so NEWTON_MAX_ENTRIES entries fit the cap; with the bound at 100 x 16
+        # rows a raised SGD budget moves neither side of it
         assert estimator.NEWTON_MAX_ENTRIES * 16 <= estimator.MAX_STORED_KERNEL_BYTES
+        monkeypatch.setattr(estimator, "NEWTON_MAX_ENTRIES", (100 + 16) * 16)
+        chosen, PhiY, _ = self.q_argument(monkeypatch, m, 16, 16, max_iter=10**5)
+        assert chosen == solver and not isinstance(PhiY, KernelRows)
+        if solver == "run_newton":
+            assert 2 * PhiY.nbytes <= estimator.NEWTON_MAX_ENTRIES * 16
 
     @pytest.mark.parametrize("r", [16, 100, 200, 400, 500])
     def test_default_routes_are_the_budget_rule(self, monkeypatch, r):
