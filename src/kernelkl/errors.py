@@ -18,15 +18,20 @@ class NumericalFailureError(RuntimeError):
         self.iteration = iteration
 
 
+def _is_integer(value):
+    # bool is an Integral, but True is no count and no seed
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def require_count(name, value, least=1):
-    """Refuse a count setting that is not an integer (numpy's included) or is below ``least``."""
-    if not isinstance(value, numbers.Integral):
+    """Refuse a count setting that is not an integer (numpy's included, bool not) or is below ``least``."""
+    if not _is_integer(value):
         raise InvalidInputError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise InvalidInputError(f"{name} must be >= {least}, got {value}")
 
 
 def require_seed(name, value):
-    """Refuse a seed that is not an integer (numpy's included) in [0, 2**63)."""
-    if not isinstance(value, numbers.Integral) or not 0 <= value < 2**63:
+    """Refuse a seed that is not an integer (numpy's included, bool not) in [0, 2**63)."""
+    if not _is_integer(value) or not 0 <= value < 2**63:
         raise InvalidInputError(f"{name} must be an integer in [0, 2**63), got {value!r}")

@@ -11,8 +11,9 @@ too small for float32 kernel rows.  Primal mode solves by Newton's method
 to a certified Frank-Wolfe gap (``optimize.run_newton``), on one float64
 matrix of whitened Q rows, where m Q rows at rank r make at most
 ``NEWTON_MAX_ENTRIES`` entries (m + r) r; dual mode and larger problems run
-projected minibatch SGD (``optimize.run_primal``) on stored or streamed rows.
-The route reads only m and r, never an SGD setting.  Dual mode keeps SGD at
+projected minibatch SGD (``optimize.run_primal``), which in primal mode makes
+each minibatch's Q kernel rows when it is drawn (``kernels.KernelRows``).  The
+route reads only m and r, never an SGD setting.  Dual mode keeps SGD at
 small n on purpose: there its early stop acts as the regulariser.  Mutual
 information is the KL divergence between the joint sample and a
 product-of-marginals surrogate obtained by permuting the y-block within the
@@ -31,7 +32,6 @@ from .kernels import (
     _factor_pool,
     as_sample_pair,
     kernel_rows,
-    mapped_empty,
     mean_landmark_features,
     median_heuristic_bandwidth,
     sample_landmarks,
@@ -50,19 +50,12 @@ def derive_seed(seed, tag):
     return int(np.random.SeedSequence(entropy=(int(seed), int(tag))).generate_state(1)[0])
 
 
-#: Largest Q-side kernel-row matrix ``estimate_kl`` stores: 48 MiB, 24 576
-#: rows at r = 512 in float32.  Storing makes each row once; streaming
-#: (``kernels.KernelRows``) makes every minibatch when drawn and holds one.  On
-#: a 2-core VM, 20k-row MI runs at D = 3 and 5 (41 MB) were slower streamed
-#: than stored (0.43 s); a 100k-row run at D = 1 + 1 (72 MB) streams.
-MAX_STORED_KERNEL_BYTES = 48 * 2**20
-
 #: Most entries (m + r) r of a primal problem, m Q rows at rank r, that
 #: ``run_newton`` solves: the rows of the default SGD run, 500 steps of 512.
 #: On a 2-core VM at r = 155-168, Newton's solve beat that run up to 4000
 #: rows and tied at 6000; no problem at r = 512, where it lost, is this small.
 #: Its float64 rows and the Hessian's scaled copy, 16 bytes an entry, stay
-#: under 3.9 MiB, inside ``MAX_STORED_KERNEL_BYTES``.
+#: under 3.9 MiB.
 NEWTON_MAX_ENTRIES = 256_000
 
 #: Fewest rows a mutual-information estimate takes.
@@ -163,9 +156,8 @@ def _fit(X, Y, cfg):
         mean_phi_x, PhiY = L[: X.shape[0]].mean(axis=0), L[X.shape[0] :]
     else:
         # The bound is linear in beta on P, so P enters only through its mean
-        # embedding.  Q goes to Newton where the problem is small; to SGD on
-        # stored float32 kernel rows where those fit the cap; otherwise to SGD
-        # on rows made per minibatch when drawn.
+        # embedding.  Q goes to Newton where the problem is small, otherwise
+        # to SGD on float32 kernel rows made per minibatch when drawn.
         landmarks = sample_landmarks(X, Y, spec, cfg.feature_dim, seed=derive_seed(seed, _FEATURES_TAG))
         mean_phi_x = mean_landmark_features(landmarks, X)
         m, r = Y.shape[0], landmarks.rank
@@ -174,11 +166,7 @@ def _fit(X, Y, cfg):
             Phi = kernel_rows(landmarks, Y).astype(np.float64) @ landmarks.whitener
             _, trace = run_newton(mean_phi_x, Phi, opt_cfg)
             return bandwidth, trace
-        whitener = landmarks.whitener
-        if m * r * np.dtype(np.float32).itemsize <= MAX_STORED_KERNEL_BYTES:
-            PhiY = kernel_rows(landmarks, Y, out=mapped_empty((m, r), np.float32))
-        else:
-            PhiY = KernelRows(landmarks, Y)
+        PhiY, whitener = KernelRows(landmarks, Y), landmarks.whitener
     _, trace = run_primal(mean_phi_x, PhiY, opt_cfg, whitener)
     return bandwidth, trace
 

@@ -289,11 +289,10 @@ def mapped_empty(shape, dtype):
 
     Freeing it unmaps it at once.  glibc, freeing a malloc'd array of up to
     32 MiB, raises its mmap threshold, puts later arrays of that size on the
-    heap and keeps the heap resident: ten D = 3 + 3 MI estimates on 8k-20k
-    rows, in mixed order in one process, peaked at 98 MB with mapped stored Q
-    matrices and at 117 MB with malloc'd ones.  The <= 7 MB Q matrices of a
-    10k-row fairness audit showed no difference (peak RSS 49.8-50.0 MB
-    malloc'd, 49.8-51.0 MB mapped).
+    heap and keeps the heap resident.  It holds ``pair_sq_distances``' result,
+    the 4 MB of a 1000-point median that is partitioned in place: malloc'd,
+    that buffer raised a 10k-row fairness audit's peak RSS from 80.5 to
+    82.7 MiB in one process, as glibc then kept a later heap chunk resident.
     """
     dtype = np.dtype(dtype)
     size = math.prod(shape)
@@ -389,8 +388,8 @@ def sample_landmarks(X, Y, spec, max_rank, seed=0):
     return LandmarkMap(centre=centre, exponent=exponent, whitener=_inverse_transpose(L[pivots]))
 
 
-def kernel_rows(lm, x, out=None):
-    """k(x, P) for every row of x and landmark p, as a len(x) x r float32 array (``out`` if given).
+def kernel_rows(lm, x):
+    """k(x, P) for every row of x and landmark p, as a len(x) x r float32 array.
 
     exp([x - c, ||x - c||^2, 1] @ lm.exponent), one product and one exp per
     block of MAP_BLOCK_ROWS rows.  Centring on the pool mean c keeps the
@@ -399,14 +398,12 @@ def kernel_rows(lm, x, out=None):
     origin.
     """
     n = x.shape[0]
-    if out is None:
-        out = np.empty((n, lm.rank), np.float32)
     # numpy makes a one-row product with another BLAS kernel (gemv) than a
     # block, with other bits: a one-row tail joins the block before it, and a
     # lone row is made in a block with a copy of itself
     if n == 1:
-        out[:] = kernel_rows(lm, np.repeat(x, 2, axis=0))[:1]
-        return out
+        return kernel_rows(lm, np.repeat(x, 2, axis=0))[:1]
+    out = np.empty((n, lm.rank), np.float32)
     d = x - lm.centre
     aug = np.ones((n, lm.exponent.shape[0]), np.float32)
     aug[:, :-2] = d

@@ -16,10 +16,10 @@ kernel witness is linear in its feature weights, so the P term of the bound
 is the weights dotted with the P-side mean (the kernel mean embedding); it is
 computed once, exactly, and only the log-mean-exp term over Q is sampled.
 Both kernel modes run the one feature-space loop, ``run_primal``: dual mode
-on the rows of a pivoted Cholesky factor of K over every pooled sample,
-primal mode on kernel rows against landmarks, whitened inside the step.  Q
-kernel rows may be stored or made from the samples minibatch by minibatch
-(``kernels.KernelRows``); both take the same draws from the generator.
+on the stored rows of a pivoted Cholesky factor of K over every pooled
+sample, primal mode on Q kernel rows against landmarks, made from the
+samples minibatch by minibatch (``kernels.KernelRows``) and whitened inside
+the step.
 
 The stopping rule of ``ascend`` compares successive values of a moving
 average over the last ``CONVERGENCE_WINDOW`` = 10 minibatch values and
@@ -164,10 +164,11 @@ def run_primal(mean_phi_x, PhiY, cfg, whitener=None):
     Dual mode passes the rows of a pivoted Cholesky factor.  Primal mode passes
     landmark kernel rows k(y, P) and W = L_PP^-T (``kernels.LandmarkMap``);
     each step scores a minibatch with K_b (W beta) and maps the gradient back
-    with W' (K_b' w), O(minibatch * r + r^2).  PhiY is a stored array, or a
-    ``kernels.KernelRows`` that makes each minibatch's rows when drawn; both
-    take the same draws, so both give the same bits wherever ``KernelRows``
-    reproduces the stored rows.  A full batch makes a ``KernelRows`` once.
+    with W' (K_b' w), O(minibatch * r + r^2).  PhiY is a stored array in
+    dual mode and a ``kernels.KernelRows`` in primal mode, which makes each
+    minibatch's rows when drawn.  Either is indexed by the same draws, so an
+    array of the kernel rows gives the same bits wherever ``KernelRows``
+    reproduces them.  A full batch makes a ``KernelRows`` once.
     """
     if not isinstance(PhiY, KernelRows):
         PhiY = np.asarray(PhiY)

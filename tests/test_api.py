@@ -110,6 +110,11 @@ def test_every_public_name_is_exported_or_used_in_the_package():
     pytest.param(lambda: GaussianPairSpec(1, 0.5, sample_count=50.0), id="sample_count"),
     pytest.param(lambda: GaussianPairSpec(1.0, 0.5, sample_count=50), id="dimension"),
     pytest.param(lambda: mine_estimate(np.zeros((5, 1)), np.ones((5, 1)), OptimizerConfig(max_iter=1e2)), id="mine"),
+    # bool is an Integral: max_iter=True would run one step
+    pytest.param(lambda: OptimizerConfig(max_iter=True), id="max_iter-bool"),
+    pytest.param(lambda: EstimatorConfig(feature_dim=True), id="feature_dim-bool"),
+    pytest.param(lambda: BenchmarkConfig(dims=(2, True)), id="dims-bool"),
+    pytest.param(lambda: GaussianPairSpec(dimension=True, correlation=0.5, sample_count=10), id="dimension-bool"),
 ])
 def test_count_settings_refuse_non_integers(make):
     with pytest.raises(InvalidInputError, match="must be an integer, got"):
@@ -128,6 +133,11 @@ def test_count_settings_refuse_non_integers(make):
     pytest.param(lambda: GaussianPairSpec(1, 0.5, 50, seed="7"), id="spec-text"),
     pytest.param(lambda: kernelkl.estimate_mi(np.zeros((8, 2)), [0], [1], seed=-1), id="estimate_mi"),
     pytest.param(lambda: derive_seed(2**63, 1), id="derive_seed"),
+    pytest.param(lambda: OptimizerConfig(seed=True), id="optimizer-bool"),
+    pytest.param(lambda: BenchmarkConfig(trials=2, seed=True), id="benchmark-bool"),
+    pytest.param(lambda: GaussianPairSpec(1, 0.5, 10, seed=False), id="spec-bool"),
+    pytest.param(lambda: kernelkl.estimate_mi(np.zeros((8, 2)), [0], [1], seed=False), id="estimate_mi-bool"),
+    pytest.param(lambda: derive_seed(True, 1), id="derive_seed-bool"),
 ])
 def test_seeds_refuse_all_but_integers_below_2_to_63(make):
     # seeds outside [0, 2**63) used to alias: 2**63 ran seed 0, and -1 ran 2**63 - 1

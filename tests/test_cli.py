@@ -29,11 +29,10 @@ from kernelkl.optimize import OptimizationTrace
 FAST = ["--max-iter", "200"]
 
 
-#: Runs the CLI with no Q matrix stored and no problem small enough for Newton,
-#: so every primal run streams its rows to SGD.
+#: Runs the CLI with no problem small enough for Newton, so every primal run
+#: streams its rows to SGD.
 STREAMED_CLI = (
-    "import sys; from kernelkl import estimator; estimator.MAX_STORED_KERNEL_BYTES = 0; "
-    "estimator.NEWTON_MAX_ENTRIES = 0; "
+    "import sys; from kernelkl import estimator; estimator.NEWTON_MAX_ENTRIES = 0; "
     "from kernelkl.cli import main; sys.exit(main())"
 )
 
@@ -322,7 +321,7 @@ class TestEstimateKl:
         write_csv_dataset(q, ["x"], rng.normal(loc=1.0, size=(300, 1)))
         # a fresh interpreter, so stderr shows any numpy warning as a user sees it.
         # This small primal problem would go to Newton, which takes no step,
-        # so the primal case runs SGD on streamed rows: none stored, minibatch below m
+        # so the primal case runs SGD on streamed rows, minibatch below m
         launch = ["-m", "kernelkl"] if mode == "dual" else ["-c", STREAMED_CLI]
         extra = ["--batch", "64"] if mode == "primal" else []
         proc = subprocess.run(

@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,9 +14,9 @@ from kernelkl import (
     estimate_mi,
     sample_gaussian_pairs,
 )
-from kernelkl import estimator, mine_estimate
+from kernelkl import estimator, kernels, mine_estimate
 from kernelkl.estimator import _OPTIMIZER_TAG, derive_seed, joint_and_product, split_pairs
-from kernelkl.kernels import DEFAULT_FEATURE_DIM, KernelRows, KernelSpec, sample_landmarks
+from kernelkl.kernels import DEFAULT_FEATURE_DIM, KernelRows, KernelSpec, kernel_rows, sample_landmarks
 from reference import build_gram, run_dual
 
 
@@ -181,10 +182,9 @@ class TestEstimateKl:
         return ranks
 
     def test_primal_peak_memory_is_one_feature_matrix(self, monkeypatch):
-        # P enters through its streamed mean embedding, so no P-side n x r matrix
-        # is held (numpy reports its buffers to tracemalloc; the stored Q-side
-        # kernel rows are an anonymous memory map, which it does not see).  The
-        # peak is the factor of the landmark pool, 512 x 2000 float64s.
+        # P enters through its streamed mean embedding and Q through rows made
+        # per minibatch, so no n x r matrix is held.  The peak is the factor of
+        # the landmark pool, 512 x 2000 float64s.
         n = 50_000
         X, Y = gaussian_sets_2d(n, seed=9)
         ranks = TestEstimateKl.spy_on_rank(monkeypatch)
@@ -195,12 +195,11 @@ class TestEstimateKl:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert n * ranks[0] * 4 <= estimator.MAX_STORED_KERNEL_BYTES
         assert peak < n * ranks[0] * 4
 
 
 class TestStoredOrStreamedQ:
-    """Small primal problems go to Newton; otherwise Q kernel rows are stored when they fit, else made per minibatch."""
+    """Small primal problems go to Newton; otherwise SGD gets Q kernel rows made per minibatch."""
 
     class Captured(Exception):
         pass
@@ -223,15 +222,17 @@ class TestStoredOrStreamedQ:
 
     @pytest.mark.parametrize("m, minibatch, streamed", [(100, 16, False), (101, 16, True), (101, 101, True)])
     def test_rule(self, monkeypatch, m, minibatch, streamed):
-        # 100 rows x 16 float32 kernel rows fill the cap exactly; at D = 1 the
-        # landmark factor of ~200 pooled rows reaches the cap of 16.  A full
-        # batch streams too: run_primal makes its rows once
-        monkeypatch.setattr(estimator, "NEWTON_MAX_ENTRIES", 0)
-        monkeypatch.setattr(estimator, "MAX_STORED_KERNEL_BYTES", 100 * 16 * 4)
-        _, PhiY, whitener = self.q_argument(monkeypatch, m, 16, minibatch)
-        assert isinstance(PhiY, KernelRows) == streamed
-        assert PhiY.shape == (m, 16) and PhiY.dtype == np.float32
-        assert whitener.shape == (16, 16)
+        # with the Newton bound at 100 rows of rank 16 (at D = 1 the landmark
+        # factor of ~200 pooled rows reaches the cap of 16), 100 rows go to
+        # Newton's float64 array and 101 rows stream, whatever the minibatch:
+        # under a full batch run_primal makes its rows once
+        monkeypatch.setattr(estimator, "NEWTON_MAX_ENTRIES", (100 + 16) * 16)
+        chosen, PhiY, whitener = self.q_argument(monkeypatch, m, 16, minibatch)
+        assert isinstance(PhiY, KernelRows) == streamed == (chosen == "run_primal")
+        assert PhiY.shape == (m, 16)
+        if streamed:
+            assert PhiY.dtype == np.float32 and whitener.shape == (16, 16)
+            assert PhiY.samples.shape == (m, 1) and PhiY[np.arange(m)].shape == (m, 16)
 
     @pytest.mark.parametrize("m, bound, solver", [
         # (m + r) r = (m + 16) 16 against NEWTON_MAX_ENTRIES = 16 * bound
@@ -239,26 +240,23 @@ class TestStoredOrStreamedQ:
     ])
     def test_newton_rule(self, monkeypatch, m, bound, solver):
         # Newton where (m + r) r is at most NEWTON_MAX_ENTRIES, whatever the
-        # SGD settings and the storage cap; SGD rows obey the cap
+        # SGD settings
         monkeypatch.setattr(estimator, "NEWTON_MAX_ENTRIES", 16 * bound)
         for max_iter, minibatch in ((1, 1), (500, 16), (10**6, 10**6)):
             chosen, PhiY, whitener = self.q_argument(monkeypatch, m, 16, minibatch, max_iter=max_iter)
-            assert chosen == solver and PhiY.shape == (m, 16) and not isinstance(PhiY, KernelRows)
+            assert chosen == solver and PhiY.shape == (m, 16)
+            assert isinstance(PhiY, KernelRows) == (solver == "run_primal")
             # Newton gets the whitened rows in float64, SGD the float32 kernel rows and W
             assert (PhiY.dtype, whitener is None) == ((np.float64, True) if solver == "run_newton" else (np.float32, False))
-        monkeypatch.setattr(estimator, "MAX_STORED_KERNEL_BYTES", 0)
-        chosen, PhiY, _ = self.q_argument(monkeypatch, m, 16, 16)
-        assert chosen == solver and isinstance(PhiY, KernelRows) == (solver == "run_primal")
 
     @pytest.mark.parametrize("m, solver", [(100, "run_newton"), (101, "run_primal")])
     def test_newton_rows_fit_the_cap(self, monkeypatch, m, solver):
         # Newton holds its float64 rows and one scaled copy, 16 bytes an entry,
-        # so NEWTON_MAX_ENTRIES entries fit the cap; with the bound at 100 x 16
-        # rows a raised SGD budget moves neither side of it
-        assert estimator.NEWTON_MAX_ENTRIES * 16 <= estimator.MAX_STORED_KERNEL_BYTES
+        # within NEWTON_MAX_ENTRIES entries; with the bound at 100 x 16 rows a
+        # raised SGD budget moves neither side of it
         monkeypatch.setattr(estimator, "NEWTON_MAX_ENTRIES", (100 + 16) * 16)
         chosen, PhiY, _ = self.q_argument(monkeypatch, m, 16, 16, max_iter=10**5)
-        assert chosen == solver and not isinstance(PhiY, KernelRows)
+        assert chosen == solver and isinstance(PhiY, KernelRows) == (solver == "run_primal")
         if solver == "run_newton":
             assert 2 * PhiY.nbytes <= estimator.NEWTON_MAX_ENTRIES * 16
 
@@ -276,7 +274,7 @@ class TestStoredOrStreamedQ:
             Y = rng.normal(loc=0.3, size=(m, 3))
             chosen, _, _ = self.capture_solver(monkeypatch, X, Y, EstimatorConfig(feature_dim=r))
             assert ranks.pop() == r
-            newton = (m + r) * r <= opt.max_iter * opt.minibatch and 2 * m * r * 8 <= estimator.MAX_STORED_KERNEL_BYTES
+            newton = (m + r) * r <= opt.max_iter * opt.minibatch
             assert chosen == ("run_newton" if newton else "run_primal") == ("run_newton" if m == m_last else "run_primal")
 
     def test_dual_mode_keeps_sgd(self, monkeypatch):
@@ -297,21 +295,46 @@ class TestStoredOrStreamedQ:
         assert 1 <= result.iterations <= 10 and result.kl_estimate == result.trace.kl_values[-1]
         assert abs(result.kl_estimate - 0.5) <= 0.1
 
-    def test_cap_placement(self):
-        # 20k rows at the default rank cap of 512 (D >= 3) are stored; the
-        # 100k-row CLI run at D = 1 + 1, rank ~180, streams its kernel rows
-        assert 20_000 * DEFAULT_FEATURE_DIM * 4 <= estimator.MAX_STORED_KERNEL_BYTES < 100_000 * 130 * 4
-
     @pytest.mark.parametrize("seed", [0, 1])
     def test_streamed_estimate_is_the_stored_one(self, monkeypatch, seed):
+        # the reference stores every Q kernel row up front, as an array.  At
+        # D = 1 these 4000 rows are within the Newton bound, which is lowered
+        # so that both runs take SGD
         X, Y = gaussian_sets(4_000, shift=0.8, seed=seed)
         cfg = EstimatorConfig(optimizer=OptimizerConfig(max_iter=100, minibatch=256, seed=seed))
-        stored = estimate_kl(X, Y, cfg)
-        monkeypatch.setattr(estimator, "MAX_STORED_KERNEL_BYTES", 0)
+        monkeypatch.setattr(estimator, "NEWTON_MAX_ENTRIES", 0)
         streamed = estimate_kl(X, Y, cfg)
+        monkeypatch.setattr(estimator, "KernelRows", lambda lm, Y: kernel_rows(lm, Y))
+        stored = estimate_kl(X, Y, cfg)
+        assert streamed.trace.gap is None and streamed.iterations > 5
         assert stored.kl_estimate == streamed.kl_estimate
         assert stored.trace.kl_values.tobytes() == streamed.trace.kl_values.tobytes()
         assert (stored.iterations, stored.converged) == (streamed.iterations, streamed.converged)
+
+    def test_no_q_matrix_at_20k_rows(self, monkeypatch):
+        # 20k MI rows at D = 3 + 3 reach the rank cap: their Q kernel rows would
+        # take 41 MB in float32.  tracemalloc does not see anonymous memory maps,
+        # so a spy on the map itself, below every name mapped_empty is bound to,
+        # sees that the only maps are the median heuristic's pair distances.
+        maps = []
+
+        def spy(fileno, length, mmap=kernels.mmap.mmap):
+            maps.append(length)
+            return mmap(fileno, length)
+
+        monkeypatch.setattr(kernels, "mmap", SimpleNamespace(mmap=spy))
+        ranks = TestEstimateKl.spy_on_rank(monkeypatch)
+        pairs = sample_gaussian_pairs(GaussianPairSpec(3, 0.5, 20_000, seed=1))
+        tracemalloc.start()
+        try:
+            result = estimate_mi(pairs, [0, 1, 2], [3, 4, 5], seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        q_bytes = 20_000 * ranks[0] * 4
+        assert ranks == [DEFAULT_FEATURE_DIM] and result.trace.gap is None
+        assert maps and max(maps) < q_bytes
+        assert peak < q_bytes
 
     def test_streamed_peak_memory_is_a_tenth_of_the_matrix(self, monkeypatch):
         # the peak is the factor of the landmark pool (512 x 2000 float64s,
@@ -321,7 +344,6 @@ class TestStoredOrStreamedQ:
         X, Y = gaussian_sets_2d(n, seed=9)
         ranks = TestEstimateKl.spy_on_rank(monkeypatch)
         cfg = EstimatorConfig(optimizer=OptimizerConfig(max_iter=20, seed=9))
-        monkeypatch.setattr(estimator, "MAX_STORED_KERNEL_BYTES", 0)
         tracemalloc.start()
         try:
             estimate_kl(X, Y, cfg)

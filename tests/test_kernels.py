@@ -23,7 +23,6 @@ from kernelkl.kernels import (
     _factor_pool,
     _inverse_transpose,
     kernel_rows,
-    mapped_empty,
     mean_landmark_features,
     median_heuristic_bandwidth,
     pair_sq_distances,
@@ -292,12 +291,6 @@ class TestLandmarks:
         Z = pooled_subsample(X, Y, LANDMARK_POOL, 0)
         assert np.array_equal(lm.centre, Z.mean(axis=0))
         assert len(Z) == LANDMARK_POOL and len({tuple(z) for z in Z}) == LANDMARK_POOL
-
-    def test_mapped_out_array_gets_the_same_bits(self):
-        _, Y, _, lm = self.landmarks(2)
-        out = mapped_empty((len(Y), lm.rank), np.float32)
-        assert kernel_rows(lm, Y, out=out) is out
-        assert out.tobytes() == kernel_rows(lm, Y).tobytes()
 
 
 class TestMeanFeatureMap:
