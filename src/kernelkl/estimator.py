@@ -14,8 +14,19 @@ matrix of whitened Q rows, where m Q rows at rank r make at most
 projected minibatch SGD (``optimize.run_primal``), which in primal mode makes
 each minibatch's Q kernel rows when it is drawn (``kernels.KernelRows``).  The
 route reads only m and r, never an SGD setting.  Dual mode keeps SGD at
-small n on purpose: there its early stop acts as the regulariser.  Mutual
-information is the KL divergence between the joint sample and a
+small n on purpose: there its early stop acts as the regulariser.
+
+Primal mode uses repeated rows.  Where at most a quarter of a sample's rows
+are distinct (``kernels._few_distinct_rows``: categorical columns, such as
+a fairness audit's), both terms of the bound are count-weighted sums over
+the distinct rows, so the sample enters as its u distinct rows and their
+counts: P's mean embedding is count-weighted, and Newton runs on Q's u
+rows, with m = u in the route's rule.  The answer is the ungrouped one to
+rounding.  Landmarks, bandwidth and seeds are made from the samples as
+given, SGD takes every row, and a sample with many distinct rows costs the
+gate one comparison of at most ``kernels.BANDWIDTH_POINTS`` rows.
+
+Mutual information is the KL divergence between the joint sample and a
 product-of-marginals surrogate obtained by permuting the y-block within the
 same rows.
 """
@@ -30,6 +41,7 @@ from .kernels import (
     KernelRows,
     KernelSpec,
     _factor_pool,
+    _few_distinct_rows,
     as_sample_pair,
     kernel_rows,
     mean_landmark_features,
@@ -52,10 +64,11 @@ def derive_seed(seed, tag):
 
 #: Most entries (m + r) r of a primal problem, m Q rows at rank r, that
 #: ``run_newton`` solves: the rows of the default SGD run, 500 steps of 512.
-#: On a 2-core VM at r = 155-168, Newton's solve beat that run up to 4000
-#: rows and tied at 6000; no problem at r = 512, where it lost, is this small.
-#: Its float64 rows and the Hessian's scaled copy, 16 bytes an entry, stay
-#: under 3.9 MiB.
+#: Where Q has few distinct rows, m counts those, not every row: a 100k-row
+#: categorical Q of 6 distinct rows is a 6-row problem.  On a 2-core VM at
+#: r = 155-168, Newton's solve beat that run up to 4000 rows and tied at
+#: 6000; no problem at r = 512, where it lost, is this small.  Its float64
+#: rows and the Hessian's scaled copy, 16 bytes an entry, stay under 3.9 MiB.
 NEWTON_MAX_ENTRIES = 256_000
 
 #: Fewest rows a mutual-information estimate takes.
@@ -156,15 +169,19 @@ def _fit(X, Y, cfg):
         mean_phi_x, PhiY = L[: X.shape[0]].mean(axis=0), L[X.shape[0] :]
     else:
         # The bound is linear in beta on P, so P enters only through its mean
-        # embedding.  Q goes to Newton where the problem is small, otherwise
-        # to SGD on float32 kernel rows made per minibatch when drawn.
+        # embedding.  A sample with few distinct rows (repeated rows, as in
+        # categorical data) enters as those rows and their counts, over which
+        # both terms of the bound are count-weighted sums.  Q goes to Newton
+        # where its rows, distinct or all, make a small problem, otherwise to
+        # SGD on all its float32 kernel rows, made per minibatch when drawn.
         landmarks = sample_landmarks(X, Y, spec, cfg.feature_dim, seed=derive_seed(seed, _FEATURES_TAG))
-        mean_phi_x = mean_landmark_features(landmarks, X)
-        m, r = Y.shape[0], landmarks.rank
+        mean_phi_x = mean_landmark_features(landmarks, *(_few_distinct_rows(X) or (X, None)))
+        rows, counts = _few_distinct_rows(Y) or (Y, None)
+        m, r = rows.shape[0], landmarks.rank
         if (m + r) * r <= NEWTON_MAX_ENTRIES:
             # cast before the product, so at most two m x r float64 matrices are held
-            Phi = kernel_rows(landmarks, Y).astype(np.float64) @ landmarks.whitener
-            _, trace = run_newton(mean_phi_x, Phi, opt_cfg)
+            Phi = kernel_rows(landmarks, rows).astype(np.float64) @ landmarks.whitener
+            _, trace = run_newton(mean_phi_x, Phi, opt_cfg, counts)
             return bandwidth, trace
         PhiY, whitener = KernelRows(landmarks, Y), landmarks.whitener
     _, trace = run_primal(mean_phi_x, PhiY, opt_cfg, whitener)

@@ -5,10 +5,14 @@ the ground-truth label and is computed as the class-frequency-weighted sum of
 per-class mutual informations; equality of opportunity is the single-class
 case.  Attributes may be categorical (integer-coded) or continuous; tied and
 categorical columns go to ``estimate_mi`` as given, as in the ``estimate-mi``
-command: the pivoted Cholesky factor behind either kernel path skips a repeated
-row, whose residual is zero, and the median-heuristic bandwidth is read from
-the few distinct rows weighted by their counts, over the pairs of distinct
-rows where most pairs coincide.  Every metric's ``seed`` defaults to the config's.
+command, which uses their repeated rows: the pivoted Cholesky factor behind
+either kernel path skips a repeated row, whose residual is zero; the
+median-heuristic bandwidth is read from the few distinct rows weighted by
+their counts, over the pairs of distinct rows where most pairs coincide; and
+primal mode solves on each sample's distinct rows and their counts, so a
+prediction and attribute pair of 2 x 3 codes costs 6 rows, not n, and is
+solved by Newton's method to a certified gap at any n.  Every metric's
+``seed`` defaults to the config's.
 """
 
 from dataclasses import dataclass, field

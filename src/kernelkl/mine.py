@@ -47,7 +47,27 @@ def _layers(vec, input_dim):
 def _hidden(vec, Z):
     """Hidden activations tanh(Z W' + b), one row per sample."""
     W, b, _, _ = _layers(vec, Z.shape[1])
-    return np.tanh(Z @ W.T + b)
+    # at D = 1 numpy's matmul takes a loop outside BLAS (25 against 8 us at
+    # 200 x 64 on a 2-core VM); each entry is then one product, the same bits
+    H = np.dot(Z, W.T) if Z.shape[1] == 1 else Z @ W.T
+    H += b
+    return np.tanh(H, out=H)
+
+
+def _stacked_objective_and_gradient(vec, Z, p_weights):
+    """``dv_objective_and_gradient`` on the stacked batch Z = [Xb; Yb], with p_weights the n entries 1/n."""
+    n = p_weights.shape[0]
+    _, _, v, c = _layers(vec, Z.shape[1])
+    A = _hidden(vec, Z)
+    t = A @ v
+    t += c
+    value, w = dv_value_and_weights(float(np.mean(t[:n])), t[n:])
+    u = np.concatenate([p_weights, np.negative(w, out=w)])
+    S = np.square(A)
+    np.subtract(1.0, S, out=S)
+    S *= u[:, None]
+    S *= v
+    return value, np.concatenate([(S.T @ Z).ravel(), S.sum(axis=0), A.T @ u, [u.sum()]])
 
 
 def dv_objective_and_gradient(vec, Xb, Yb):
@@ -58,14 +78,7 @@ def dv_objective_and_gradient(vec, Xb, Yb):
     softmax weights on the Q rows.
     """
     n = Xb.shape[0]
-    Z = np.concatenate([Xb, Yb])
-    _, _, v, c = _layers(vec, Z.shape[1])
-    A = _hidden(vec, Z)
-    t = A @ v + c
-    value, w = dv_value_and_weights(float(np.mean(t[:n])), t[n:])
-    u = np.concatenate([np.full(n, 1.0 / n), -w])
-    S = (u[:, None] * (1.0 - A**2)) * v
-    return value, np.concatenate([(S.T @ Z).ravel(), S.sum(axis=0), A.T @ u, [u.sum()]])
+    return _stacked_objective_and_gradient(vec, np.concatenate([Xb, Yb]), np.full(n, 1.0 / n))
 
 
 def mine_estimate(X, Y, cfg=None):
@@ -77,16 +90,20 @@ def mine_estimate(X, Y, cfg=None):
     # the whole arrays are reused only when the batch covers both n and m
     batch = min(cfg.minibatch, n, m)
     full_batch = batch >= n and batch >= m
+    if full_batch:  # stacked, and its P weights made, once
+        Z, p_weights = np.concatenate([X, Y]), np.full(n, 1.0 / n)
 
     def step(vec, rng):
-        Xb, Yb = X, Y
-        if not full_batch:
-            Xb = X[rng.integers(0, n, size=batch)]
-            Yb = Y[rng.integers(0, m, size=batch)]
         # ascent on the bound; the tracked value is the incoming iterate's,
         # which the gradient computation produces for free
-        value, grad = dv_objective_and_gradient(vec, Xb, Yb)
-        return vec + cfg.step_size * grad, value
+        if full_batch:
+            value, grad = _stacked_objective_and_gradient(vec, Z, p_weights)
+        else:
+            value, grad = dv_objective_and_gradient(vec, X[rng.integers(0, n, size=batch)],
+                                                    Y[rng.integers(0, m, size=batch)])
+        grad *= cfg.step_size
+        grad += vec
+        return grad, value
 
     vec0 = init_params(input_dim, HIDDEN_WIDTH, seed=derive_seed(cfg.seed, _INIT_TAG))
     _, trace = ascend(step, vec0, cfg.with_seed(derive_seed(cfg.seed, _LOOP_TAG)))

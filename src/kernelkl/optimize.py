@@ -95,21 +95,29 @@ class OptimizationTrace:
     gap: float | None = None
 
 
-def dv_value_and_weights(p_mean, q_scores):
+def dv_value_and_weights(p_mean, q_scores, counts=None):
     """Bound value p_mean - log mean_j exp(q_j) and its softmax weights over q.
 
     The weights are the gradient of the log-mean-exp term with respect to the
     scores.  One exp pass serves both, and float32 scores stay float32.
+    Where ``counts`` is given, score j stands for counts[j] rows with that
+    score: the mean is sum_j c_j exp(q_j) / sum_j c_j and weight j is
+    c_j exp(q_j) / sum_k c_k exp(q_k), the sum of those rows' weights.
     """
     mx = float(np.max(q_scores))
-    e = np.exp(q_scores - mx)
+    e = np.subtract(q_scores, mx)
+    np.exp(e, out=e)
+    if counts is not None:
+        e *= counts
     total = float(e.sum())
-    return p_mean - (mx + float(np.log(total / q_scores.size))), e / total
+    size = q_scores.size if counts is None else float(counts.sum())
+    e /= total
+    return p_mean - (mx + float(np.log(total / size))), e
 
 
 def project_primal(beta, norm_budget):
     """Rescale beta radially so ||beta|| <= norm_budget."""
-    nrm = float(np.linalg.norm(beta))
+    nrm = float(np.sqrt(beta.dot(beta)))  # np.linalg.norm's computation for a vector, without its checks
     if not nrm <= norm_budget:  # NaN too
         # rescaling by norm_budget / inf would zero the weights silently, or
         # give 0 * inf = NaN where a weight is infinite
@@ -188,10 +196,13 @@ def run_primal(mean_phi_x, PhiY, cfg, whitener=None):
         Py = PhiY if cfg.minibatch >= m else PhiY[rng.integers(0, m, size=cfg.minibatch)]
         kl, w = dv_value_and_weights(float(mean_phi_x @ beta), Py @ (beta if whitener is None else whitener @ beta))
         grad = Py.T @ w
-        grad = (grad if whitener is None else whitener.T @ grad) - mean_phi_x
+        if whitener is not None:
+            grad = whitener.T @ grad
+        grad -= mean_phi_x
         if cfg.penalty_weight:
-            grad = grad + 2.0 * cfg.penalty_weight * beta
-        return project_primal(beta - cfg.step_size * grad, cfg.norm_budget), kl
+            grad += 2.0 * cfg.penalty_weight * beta
+        grad *= cfg.step_size
+        return project_primal(np.subtract(beta, grad, out=grad), cfg.norm_budget), kl
 
     return ascend(step, np.zeros(d, dtype=dtype), cfg)
 
@@ -245,11 +256,14 @@ def _ball_newton_point(H, rhs, radius):
     return x * min(1.0, radius / float(np.linalg.norm(x)))
 
 
-def run_newton(mean_phi_x, Phi, cfg):
+def run_newton(mean_phi_x, Phi, cfg, counts=None):
     """Minimize the penalized loss over the norm ball by Newton's method; returns (beta, OptimizationTrace).
 
     Phi is the stored m x r matrix of Q feature rows, used in float64 and
     never written to; ``mean_phi_x`` is the P-samples' mean feature vector.
+    Where ``counts`` is given, row j stands for counts[j] Q rows (the
+    distinct rows of a sample and their counts), and every mean over Q below
+    is weighted by them (``dv_value_and_weights``).
     The loss F(beta) = log mean_j exp(phi_j . beta) - mean_phi_x . beta +
     penalty_weight ||beta||^2 is smooth and strongly convex.  Each iteration
     minimizes its second-order model over the ball (``_ball_newton_point``)
@@ -270,10 +284,14 @@ def run_newton(mean_phi_x, Phi, cfg):
     mu = np.asarray(mean_phi_x, dtype=np.float64)
     _check_features(mu, Phi, None)
     m, r = Phi.shape
+    if counts is not None:
+        counts = np.asarray(counts, dtype=np.float64)
+        if counts.shape != (m,) or not np.all((counts > 0) & (counts < np.inf)):
+            raise InvalidInputError("counts must be an m-vector of finite positive counts, one per row of Phi")
     radius, lam = cfg.norm_budget, cfg.penalty_weight
 
     def bound_and_weights(beta):
-        return dv_value_and_weights(float(mu @ beta), Phi @ beta)
+        return dv_value_and_weights(float(mu @ beta), Phi @ beta, counts)
 
     def hessian(w, mean_y):  # sum_j w_j phi_j phi_j' - mean_y mean_y' + 2 lam I
         scaled = np.sqrt(w)[:, None] * Phi
@@ -286,7 +304,7 @@ def run_newton(mean_phi_x, Phi, cfg):
         return lam * float(beta @ beta) - bound
 
     beta = np.zeros(r)
-    bound, w = dv_value_and_weights(0.0, np.zeros(m))
+    bound, w = dv_value_and_weights(0.0, np.zeros(m), counts)
     values = []
     with np.errstate(over="ignore", invalid="ignore"):
         while True:

@@ -353,6 +353,100 @@ class TestStoredOrStreamedQ:
         assert peak < 0.1 * n * ranks[0] * 4
 
 
+def categorical_pairs(n, seed, levels=(2, 3)):
+    """n rows of a dependent x in range(levels[0]) and y in range(levels[1]), as floats."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, levels[0], n)
+    y = (x + rng.integers(0, 2, n) * rng.integers(0, levels[1], n)) % levels[1]
+    return np.column_stack([x, y]).astype(float)
+
+
+class TestRepeatedRows:
+    """A primal sample with few distinct rows is solved on those rows, weighted by their counts."""
+
+    @staticmethod
+    def spy_on_solvers(monkeypatch):
+        """(solver, number of Q rows it got, counts) per call; the solvers still run."""
+        calls = []
+        for name in ("run_newton", "run_primal"):
+            def spy(mean_phi_x, PhiY, cfg, extra=None, solver=getattr(estimator, name), name=name):
+                calls.append((name, PhiY.shape[0], None if name == "run_primal" else extra))
+                return solver(mean_phi_x, PhiY, cfg, extra)
+
+            monkeypatch.setattr(estimator, name, spy)
+        return calls
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_grouped_estimate_is_the_ungrouped_one(self, monkeypatch, seed):
+        # 3000 rows of a 2 x 3 table are within the Newton bound either way
+        pairs = categorical_pairs(3000, seed)
+        calls = self.spy_on_solvers(monkeypatch)
+        grouped = estimate_mi(pairs, [0], [1], seed=seed)
+        monkeypatch.setattr(estimator, "_few_distinct_rows", lambda Z: None)
+        whole = estimate_mi(pairs, [0], [1], seed=seed)
+        assert [(name, m) for name, m, _ in calls] == [("run_newton", 6), ("run_newton", 3000)]
+        assert calls[0][2].sum() == 3000 and calls[1][2] is None
+        assert grouped.converged and whole.converged and grouped.trace.gap <= OptimizerConfig().gamma
+        assert grouped.bandwidth == whole.bandwidth
+        assert abs(grouped.kl_estimate - whole.kl_estimate) <= 1e-9
+
+    def test_the_route_reads_distinct_rows(self, monkeypatch):
+        # 200k rows are far above the Newton bound, their 6 distinct rows far below
+        calls = self.spy_on_solvers(monkeypatch)
+        result = estimate_mi(categorical_pairs(200_000, 3), [0], [1], seed=0)
+        assert [(name, m) for name, m, _ in calls] == [("run_newton", 6)] and calls[0][2].sum() == 200_000
+        assert result.converged and result.trace.gap <= OptimizerConfig().gamma
+
+    def test_grouped_q_above_the_bound_takes_sgd_on_every_row(self, monkeypatch):
+        monkeypatch.setattr(estimator, "NEWTON_MAX_ENTRIES", 0)
+        calls = self.spy_on_solvers(monkeypatch)
+        estimate_mi(categorical_pairs(3000, 0), [0], [1], EstimatorConfig(optimizer=OptimizerConfig(max_iter=20)))
+        assert calls == [("run_primal", 3000, None)]
+
+    def test_signed_zeros_are_one_group(self, monkeypatch):
+        pairs = categorical_pairs(4000, 4, levels=(2, 2))
+        signed = pairs.copy()
+        signed[(signed == 0) & (np.random.default_rng(4).random(signed.shape) < 0.5)] = -0.0
+        assert np.signbit(signed[signed == 0]).any() and not np.signbit(signed[signed == 0]).all()
+        calls = self.spy_on_solvers(monkeypatch)
+        positive, mixed = (estimate_mi(Z, [0], [1], seed=4).kl_estimate for Z in (pairs, signed))
+        assert [(name, m) for name, m, _ in calls] == [("run_newton", 4)] * 2
+        assert calls[0][2].tolist() == calls[1][2].tolist()
+        assert mixed == positive
+
+    def test_categorical_p_and_continuous_q_group_only_p(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        X = rng.integers(0, 3, size=(2000, 1)).astype(float)
+        Y = rng.normal(loc=1.0, size=(600, 1))
+        means = []
+
+        def spy(lm, rows, counts=None, mean=estimator.mean_landmark_features):
+            means.append((rows.shape[0], counts))
+            return mean(lm, rows, counts)
+
+        monkeypatch.setattr(estimator, "mean_landmark_features", spy)
+        calls = self.spy_on_solvers(monkeypatch)
+        estimate_kl(X, Y)
+        assert means[0][0] == 3 and means[0][1].tolist() == np.bincount(X[:, 0].astype(int)).tolist()
+        assert calls == [("run_newton", 600, None)]
+
+    def test_continuous_samples_are_never_grouped_whole(self, monkeypatch):
+        # 100k continuous rows a side: the gate reads a strided probe of at
+        # most BANDWIDTH_POINTS rows, and no sample is grouped
+        sizes = []
+
+        def spy(Z, grouped_rows=kernels._grouped_rows):
+            sizes.append(Z.shape[0])
+            return grouped_rows(Z)
+
+        monkeypatch.setattr(kernels, "_grouped_rows", spy)
+        calls = self.spy_on_solvers(monkeypatch)
+        pairs = sample_gaussian_pairs(GaussianPairSpec(1, 0.5, 100_000, seed=1))
+        estimate_mi(pairs, [0], [1], EstimatorConfig(optimizer=OptimizerConfig(max_iter=20)), seed=0)
+        assert sizes == []
+        assert calls == [("run_primal", 100_000, None)]
+
+
 class TestSplitPairs:
     def test_basic_split(self):
         pairs = np.arange(12.0).reshape(3, 4)

@@ -8,6 +8,7 @@ from kernelkl import (
     demographic_parity,
     equality_of_odds,
     equality_of_opportunity,
+    estimator,
     fairness,
 )
 from kernelkl.estimator import EstimatorConfig
@@ -263,3 +264,29 @@ class TestImbalancedColumns:
         mi = demographic_parity(AuditTable(predictions=pred, attribute=attr), fast_cfg(), seed=0)
         assert np.isfinite(mi) and mi >= 0.0
         assert mi == pytest.approx(plug_in_mi(pred, attr / 1000), abs=0.02)
+
+
+class TestLargeCategoricalAudit:
+    def test_every_estimate_is_a_certified_newton_optimum(self, monkeypatch):
+        # 100k rows, 3 groups, labels 60/40: each estimate's Q sample has at
+        # most 6 distinct rows, so each is solved by Newton to its gap
+        rng = np.random.default_rng(5)
+        n = 100_000
+        labels = (rng.random(n) < 0.4).astype(int)
+        attr = rng.choice(3, size=n, p=[0.5, 0.3, 0.2])
+        pred = rng.random(n) < np.array([[0.2, 0.35, 0.5], [0.55, 0.7, 0.9]])[labels, attr]
+        table = AuditTable(predictions=pred.astype(float), attribute=attr.astype(float), labels=labels)
+        traces = []
+        for name in ("run_newton", "run_primal"):
+            def spy(*args, solver=getattr(estimator, name), name=name):
+                beta, trace = solver(*args)
+                traces.append((name, trace))
+                return beta, trace
+
+            monkeypatch.setattr(estimator, name, spy)
+        report = audit(table, seed=0, positive_class=1)
+        assert [name for name, _ in traces] == ["run_newton"] * 4
+        assert all(t.converged and t.gap <= OptimizerConfig().gamma for _, t in traces)
+        # the generator's MI: parity 0.0313 nats, odds 0.0373
+        assert report.demographic_parity_mi == pytest.approx(0.0313, abs=0.005)
+        assert report.equality_of_odds_mi == pytest.approx(0.0373, abs=0.005)

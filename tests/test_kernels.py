@@ -19,8 +19,8 @@ from kernelkl.kernels import (
     MEAN_CHUNK_ROWS,
     KernelRows,
     KernelSpec,
-    _distinct_rows,
     _factor_pool,
+    _grouped_rows,
     _inverse_transpose,
     kernel_rows,
     mean_landmark_features,
@@ -304,6 +304,17 @@ class TestMeanFeatureMap:
         expected = kernel_rows(lm, X).mean(axis=0, dtype=np.float64) @ lm.whitener
         np.testing.assert_allclose(got, expected, rtol=1e-5, atol=1e-6)
 
+    @pytest.mark.parametrize("distinct", [3, MEAN_CHUNK_ROWS + 5])
+    def test_counts_weight_the_mean(self, distinct):
+        # distinct rows with counts give the mean over the expanded rows, to rounding
+        _, _, _, lm = TestLandmarks.landmarks(2, n=100)
+        rng = np.random.default_rng(distinct)
+        rows, counts = rng.normal(size=(distinct, 2)), rng.integers(1, 50, size=distinct)
+        got = mean_landmark_features(lm, rows, counts)
+        expected = mean_landmark_features(lm, np.repeat(rows, counts, axis=0))
+        assert got.dtype == np.float32
+        np.testing.assert_allclose(got, expected, rtol=1e-6, atol=1e-7)
+
     def test_rejects_empty_input(self):
         _, _, _, lm = TestLandmarks.landmarks(2, n=100)
         with pytest.raises(InvalidInputError):
@@ -540,7 +551,7 @@ class TestMedianHeuristic:
         Z = rng.integers(0, 2, size=(600, 2)).astype(float)
         Z[(Z == 0) & (rng.random(Z.shape) < 0.5)] = -0.0
         assert np.signbit(Z[Z == 0]).any() and not np.signbit(Z[Z == 0]).all()
-        rows, counts = _distinct_rows(Z)
+        rows, counts = _grouped_rows(Z)
         assert len(rows) == 4 and counts.sum() == 600
         assert median_heuristic_bandwidth(Z[:300], Z[300:]) == float(np.median(pdist(Z)))
         assert all_pairs_calls == []
@@ -556,11 +567,53 @@ class TestMedianHeuristic:
         assert median_heuristic_bandwidth(Z[:5], Z[5:]) == float(np.median(pdist(Z)))
         assert all_pairs_calls == ([] if grouped else [pooled])
 
+    def test_grouped_rows_are_the_distinct_rows_and_counts(self):
+        rng = np.random.default_rng(15)
+        Z = rng.integers(-2, 3, size=(5000, 3)).astype(float)
+        rows, counts = _grouped_rows(Z)
+        expected_rows, expected_counts = np.unique(Z, axis=0, return_counts=True)
+        assert rows.tobytes() == expected_rows.tobytes() and counts.tolist() == expected_counts.tolist()
+
+    def test_grouped_codes_stay_below_the_row_count(self):
+        # 40 columns of 3 values would make 3^40 codes, beyond an intp;
+        # ranking the combined codes keeps them below n
+        Z = np.random.default_rng(16).integers(0, 3, size=(50, 40)).astype(float)
+        Z[25:] = Z[:25]
+        rows, counts = _grouped_rows(Z)
+        assert len(rows) == 25 and counts.tolist() == [2] * 25
+        assert {r.tobytes() for r in rows} == {r.tobytes() for r in Z[:25]}
+
+    @pytest.mark.parametrize("n", [BANDWIDTH_POINTS + 1, 100_000])
+    def test_large_categorical_sample_is_grouped_whole(self, n):
+        # rows past the strided probe are grouped too, in the counts
+        rng = np.random.default_rng(n)
+        Z = rng.integers(0, 3, size=(n, 2)).astype(float)
+        Z[-1] = [7.0, 7.0]
+        rows, counts = kernels._few_distinct_rows(Z)
+        assert len(rows) == 10 and counts.sum() == n and rows[-1].tolist() == [7.0, 7.0] and counts[-1] == 1
+
+    @pytest.mark.parametrize("decimals", [1, 2])
+    def test_large_sample_is_grouped_only_where_its_probe_is(self, monkeypatch, decimals):
+        # 100k rounded normals: at 1 decimal the probe of 1000 rows has ~60
+        # distinct values and all rows are grouped; at 2 decimals it has ~530,
+        # more than a quarter, and only the probe is
+        sizes = []
+
+        def spy(Z, grouped_rows=kernels._grouped_rows):
+            sizes.append(Z.shape[0])
+            return grouped_rows(Z)
+
+        monkeypatch.setattr(kernels, "_grouped_rows", spy)
+        Z = np.round(np.random.default_rng(17).normal(size=(100_000, 1)), decimals)
+        grouped = kernels._few_distinct_rows(Z)
+        assert sizes == ([BANDWIDTH_POINTS, 100_000] if decimals == 1 else [BANDWIDTH_POINTS])
+        assert (grouped is not None) == (decimals == 1)
+
     def test_continuous_input_is_not_sorted(self, monkeypatch):
         def refuse(Z):
-            raise AssertionError("continuous rows were sorted")
+            raise AssertionError("continuous rows were grouped")
 
-        monkeypatch.setattr(kernels, "_distinct_rows", refuse)
+        monkeypatch.setattr(kernels, "_grouped_rows", refuse)
         rng = np.random.default_rng(14)
         X, Y = rng.normal(size=(3000, 2)), rng.normal(size=(3000, 2))
         assert median_heuristic_bandwidth(X, Y) > 0

@@ -70,6 +70,25 @@ class TestDvValueAndWeights:
         _, w = dv_value_and_weights(0.0, np.linspace(-2, 2, 9, dtype=np.float32))
         assert w.dtype == np.float32
 
+    @pytest.mark.parametrize("scale", [0.1, 3.0, 300.0])
+    def test_counts_stand_for_repeated_scores(self, scale):
+        # each score stands for counts[j] equal scores: the value is the
+        # expanded scores' value, and weight j the sum of their weights
+        rng = np.random.default_rng(2)
+        q, counts = rng.normal(scale=scale, size=7), rng.integers(1, 900, size=7)
+        value, w = dv_value_and_weights(0.4, q, counts)
+        expanded_value, expanded_w = dv_value_and_weights(0.4, np.repeat(q, counts))
+        assert abs(value - expanded_value) <= 1e-15 * max(1.0, abs(expanded_value))
+        group_sums = np.add.reduceat(expanded_w, np.cumsum(counts) - counts)
+        np.testing.assert_allclose(w, group_sums, rtol=0, atol=1e-15)
+        assert w.sum() == pytest.approx(1.0, abs=1e-15)
+
+    def test_unit_counts_give_the_same_bits(self):
+        q = np.random.default_rng(3).normal(size=40)
+        value, w = dv_value_and_weights(0.2, q)
+        counted_value, counted_w = dv_value_and_weights(0.2, q, np.ones(40, dtype=np.int64))
+        assert (counted_value, counted_w.tobytes()) == (value, w.tobytes())
+
 
 class TestDualObjective:
     def test_zero_weights(self):

@@ -428,6 +428,29 @@ class TestRunNewton:
         run_newton(mean_phi_x, Phi, OptimizerConfig())
         assert (mean_phi_x.tobytes(), Phi.tobytes()) == before
 
+    @pytest.mark.parametrize("budget", [0.5, 10.0])
+    def test_counts_solve_the_expanded_problem(self, budget):
+        # distinct rows with counts are the expanded rows' problem: the same
+        # optimum and bound, to rounding, in the same few iterations
+        mean_phi_x, Phi = newton_problem()
+        counts = np.random.default_rng(4).integers(1, 30, size=Phi.shape[0])
+        cfg = OptimizerConfig(norm_budget=budget)
+        beta, trace = run_newton(mean_phi_x, Phi, cfg, counts)
+        expanded_beta, expanded = run_newton(mean_phi_x, np.repeat(Phi, counts, axis=0), cfg)
+        assert trace.converged and trace.gap <= cfg.gamma
+        assert trace.iterations == expanded.iterations
+        assert abs(trace.estimate - expanded.estimate) <= 1e-12
+        np.testing.assert_allclose(beta, expanded_beta, rtol=0, atol=1e-9)
+        assert trace.estimate == pytest.approx(-primal_objective(beta, mean_phi_x[None], np.repeat(Phi, counts, axis=0)),
+                                               abs=1e-12)
+
+    @pytest.mark.parametrize("counts", [np.ones(399), np.r_[0.0, np.ones(399)], np.r_[np.inf, np.ones(399)],
+                                        np.r_[np.nan, np.ones(399)], np.ones((400, 1))])
+    def test_counts_must_be_a_positive_count_per_row(self, counts):
+        mean_phi_x, Phi = newton_problem()
+        with pytest.raises(InvalidInputError, match="counts"):
+            run_newton(mean_phi_x, Phi, OptimizerConfig(), counts)
+
     def test_rows_must_match_the_mean(self):
         with pytest.raises(InvalidInputError, match="d-vector"):
             run_newton(np.zeros(3), np.zeros((5, 4)), OptimizerConfig())
